@@ -41,20 +41,18 @@
  *     IOs/query. Writes results/BENCH_learned.json. Run with
  *     --learned-only to skip phases 1-3.
  *
- *  5. Async pipelined beam search A/B: the same index served sync
- *     and async ($ANN_ASYNC_BEAM) on the file backend with a
- *     simulated per-read device latency ($ANN_IO_SIM_LATENCY_US,
- *     default 150 us here), one thread, beam 4 — the qd-starved
- *     point where the sync loop idles the CPU for one device
- *     round-trip per hop. Gates: results bit-identical to the memory
- *     backend, recall unchanged, and async QPS >=
- *     $ANN_ASYNC_MIN_SPEEDUP (default 1.3x) of sync. A second
- *     sub-phase runs an 8-way micro-batch of the same queries with
- *     the single-flight layer off vs on and gates backend reads per
- *     query at >= $ANN_ASYNC_MIN_DEDUP (default 1.1x) fewer with the
- *     layer on, with a nonzero ios_deduped count. Both tables carry
- *     the observed effective queue depth (mean in-flight reads from
- *     the I/O gauge). Writes results/BENCH_async.json. Run with
+ *  5. Pipelined beam search on simulated device latency: the index
+ *     served by the file backend with a per-read device latency
+ *     ($ANN_IO_SIM_LATENCY_US, default 150 us here), one thread,
+ *     beam 4 — the qd-starved point where every hop costs one device
+ *     round trip. Gates: results bit-identical to the memory backend
+ *     and recall unchanged. A second sub-phase runs an 8-way
+ *     micro-batch of the same queries with the single-flight layer
+ *     off vs on and gates backend reads per query at >=
+ *     $ANN_ASYNC_MIN_DEDUP (default 1.1x) fewer with the layer on,
+ *     with a nonzero ios_deduped count. Both tables carry the
+ *     observed effective queue depth (mean in-flight reads from the
+ *     I/O gauge). Writes results/BENCH_async.json. Run with
  *     --async-only to run just this phase; --layout-only and
  *     --learned-only skip it (as does --no-async).
  *
@@ -847,27 +845,22 @@ runLearnedPhase(DiskAnnIndex &index, const workload::Dataset &skew,
     return ok;
 }
 
-/** One arm of the phase-5 async pipelining A/B. */
+/** The phase-5 pipelined beam-search measurement. */
 struct AsyncPoint
 {
-    const char *label = "";
     double qps = 0.0;
     double mean_us = 0.0;
     double p99_us = 0.0;
-    double hop_reads = 0.0;   ///< reads issued at hop time (traces);
-                              ///< spec-stash hits never show up here
-    double backend_ops = 0.0; ///< IoRequests reaching the backend,
-                              ///< speculative reads included
-    double eff_qd = 0.0;        ///< mean in-flight reads (I/O gauge)
+    double hop_reads = 0.0;   ///< read runs issued at hop time (traces)
+    double backend_ops = 0.0; ///< IoRequests reaching the backend
+    double eff_qd = 0.0;      ///< mean in-flight reads (I/O gauge)
     double recall = 0.0;
 };
 
 /**
- * Measure one async-toggle arm single-threaded over the whole query
- * set. Logical reads come from the hop traces (identical across arms
- * by the bit-identity contract); backend ops and effective queue
- * depth come from the process-wide I/O gauge, so speculative reads
- * that never serve a hop are charged honestly.
+ * Measure the pipelined beam single-threaded over the whole query
+ * set. Logical reads come from the hop traces; backend ops and
+ * effective queue depth come from the process-wide I/O gauge.
  */
 void
 asyncSweepPoint(DiskAnnIndex &index, const workload::Dataset &data,
@@ -918,10 +911,10 @@ struct DedupArm
 };
 
 /**
- * Phase 5: the async pipelined beam-search A/B (sync vs
- * $ANN_ASYNC_BEAM at a qd-starved serving point) and the cross-query
- * single-flight dedup gate under an 8-way micro-batch. Writes
- * BENCH_async.json.
+ * Phase 5: the pipelined beam search at a qd-starved serving point
+ * (bit-identity and recall against the memory backend) and the
+ * cross-query single-flight dedup gate under an 8-way micro-batch.
+ * Writes BENCH_async.json.
  */
 bool
 runAsyncPhase(DiskAnnIndex &index, const workload::Dataset &skew)
@@ -931,31 +924,30 @@ runAsyncPhase(DiskAnnIndex &index, const workload::Dataset &skew)
     params.search_list = 64;
     params.beam_width = 4;
 
-    // Whatever happens below, leave the process-wide toggles at their
-    // defaults for whoever runs next.
+    // Whatever happens below, leave the single-flight layer at its
+    // default for whoever runs next.
     struct ToggleReset
     {
-        ~ToggleReset()
-        {
-            storage::setAsyncBeamEnabled(false);
-            storage::setSingleFlightEnabled(true);
-        }
+        ~ToggleReset() { storage::setSingleFlightEnabled(true); }
     } reset;
 
-    // Memory-backend reference: async on real I/O must reproduce it
-    // bit for bit.
+    // Memory-backend reference: real I/O must reproduce it bit for
+    // bit.
     index.setIoMode({});
     std::vector<SearchResult> reference;
     reference.reserve(skew.num_queries);
-    for (std::size_t q = 0; q < skew.num_queries; ++q)
+    double reference_recall = 0.0;
+    for (std::size_t q = 0; q < skew.num_queries; ++q) {
         reference.push_back(index.search(skew.query(q), params));
+        reference_recall +=
+            recallAtK(skew.ground_truth[q], reference.back(), params.k);
+    }
+    reference_recall /= static_cast<double>(skew.num_queries);
 
     // The qd-starved serving point: one thread, beam 4, no node
     // cache, every node read paying a simulated device latency. The
-    // sync loop stalls one device round-trip per hop with the CPU
-    // idle; the async loop scores completed nodes while the rest of
-    // the hop is in flight and speculates the next frontier, so this
-    // is exactly where pipelining has to show up.
+    // pipelined hop scores completed nodes while the rest of the hop
+    // is in flight.
     const unsigned sim_latency_us =
         static_cast<unsigned>(std::max<std::int64_t>(
             0, envInt("ANN_IO_SIM_LATENCY_US", 150)));
@@ -965,66 +957,36 @@ runAsyncPhase(DiskAnnIndex &index, const workload::Dataset &skew)
     io.sim_latency_us = sim_latency_us;
     index.setIoMode(io);
 
-    storage::setAsyncBeamEnabled(false);
-    AsyncPoint sync_point;
-    sync_point.label = "sync";
-    std::vector<SearchResult> sync_results;
-    sync_results.reserve(skew.num_queries);
-    asyncSweepPoint(index, skew, params, sync_point, &sync_results);
+    AsyncPoint point;
+    std::vector<SearchResult> results;
+    results.reserve(skew.num_queries);
+    asyncSweepPoint(index, skew, params, point, &results);
 
-    storage::setAsyncBeamEnabled(true);
-    AsyncPoint async_point;
-    async_point.label = "async";
-    std::vector<SearchResult> async_results;
-    async_results.reserve(skew.num_queries);
-    asyncSweepPoint(index, skew, params, async_point, &async_results);
-    storage::setAsyncBeamEnabled(false);
-
-    const bool identical =
-        sync_results == reference && async_results == reference;
-    std::cout << "sync and async top-k bit-identical to memory: "
+    const bool identical = results == reference;
+    std::cout << "pipelined top-k bit-identical to memory: "
               << (identical ? "yes" : "NO") << "\n";
     if (!identical) {
-        std::cerr << "FAIL: async beam search changed results\n";
+        std::cerr << "FAIL: pipelined beam search changed results\n";
+        ok = false;
+    }
+    if (point.recall != reference_recall) {
+        std::cerr << "FAIL: pipelined beam search changed recall\n";
         ok = false;
     }
 
-    TextTable table("async pipelined beam search A/B (file backend, "
-                    "sim latency " +
+    TextTable table("pipelined beam search (file backend, sim latency " +
                     std::to_string(sim_latency_us) +
                     " us, search_list=64, beam=4, 1 thread)");
-    table.setHeader({"mode", "QPS", "mean (us)", "P99 (us)",
-                     "hop reads/q", "IOs/query", "eff QD",
-                     "recall@10"});
-    for (const AsyncPoint *p : {&sync_point, &async_point})
-        table.addRow({p->label, formatDouble(p->qps, 0),
-                      formatDouble(p->mean_us, 1),
-                      formatDouble(p->p99_us, 1),
-                      formatDouble(p->hop_reads, 1),
-                      formatDouble(p->backend_ops, 1),
-                      formatDouble(p->eff_qd, 2),
-                      formatDouble(p->recall, 3)});
+    table.setHeader({"QPS", "mean (us)", "P99 (us)", "hop reads/q",
+                     "IOs/query", "eff QD", "recall@10"});
+    table.addRow({formatDouble(point.qps, 0),
+                  formatDouble(point.mean_us, 1),
+                  formatDouble(point.p99_us, 1),
+                  formatDouble(point.hop_reads, 1),
+                  formatDouble(point.backend_ops, 1),
+                  formatDouble(point.eff_qd, 2),
+                  formatDouble(point.recall, 3)});
     table.print(std::cout);
-
-    const double speedup =
-        async_point.qps / std::max(sync_point.qps, 1e-9);
-    const double min_speedup = [] {
-        const char *env = std::getenv("ANN_ASYNC_MIN_SPEEDUP");
-        return env != nullptr ? std::atof(env) : 1.3;
-    }();
-    std::cout << "async speedup: " << formatDouble(speedup, 2)
-              << "x (gate >= " << formatDouble(min_speedup, 2)
-              << "x), eff QD " << formatDouble(sync_point.eff_qd, 2)
-              << " -> " << formatDouble(async_point.eff_qd, 2)
-              << "\n";
-    if (speedup < min_speedup) {
-        std::cerr << "FAIL: async pipelining saves too little\n";
-        ok = false;
-    }
-    if (async_point.recall != sync_point.recall) {
-        std::cerr << "FAIL: async changed recall\n";
-        ok = false;
-    }
 
     // Cross-query single-flight dedup: an 8-way micro-batch running
     // the same queries nearly in lockstep misses the same hot sectors
@@ -1032,12 +994,7 @@ runAsyncPhase(DiskAnnIndex &index, const workload::Dataset &skew)
     // backend read for a concurrent miss; with it on one owner reads
     // and the rest attach to the flight. The cache is deliberately
     // small so the burst working set keeps missing instead of going
-    // fully resident after the first pass. The arms run the sync
-    // demand path: every read goes through the cache, so the off/on
-    // backend-I/O ratio isolates the single-flight layer (the async
-    // path's speculative reads target a private per-query stash and
-    // would dilute the measurement; its single-flight interplay is
-    // covered by the concurrency tests).
+    // fully resident after the first pass.
     constexpr std::size_t kThreads = 8;
     storage::IoOptions dedup_io = io;
     dedup_io.node_cache.capacity_bytes =
@@ -1082,7 +1039,7 @@ runAsyncPhase(DiskAnnIndex &index, const workload::Dataset &skew)
 
     TextTable dedup_table(
         "cross-query single-flight dedup (8-way micro-batch of the "
-        "same queries, sync demand path, cache=1 MiB)");
+        "same queries, cache=1 MiB)");
     dedup_table.setHeader({"single-flight", "QPS", "backend ops/q",
                            "eff QD", "ios deduped"});
     for (const DedupArm *arm : {&off_arm, &on_arm})
@@ -1114,44 +1071,31 @@ runAsyncPhase(DiskAnnIndex &index, const workload::Dataset &skew)
     const std::string json_path =
         core::resultsDir() + "/BENCH_async.json";
     if (std::FILE *f = std::fopen(json_path.c_str(), "w")) {
-        std::fprintf(f,
-                     "{\n  \"dataset\": \"%s\",\n"
-                     "  \"queries\": %zu,\n"
-                     "  \"sim_latency_us\": %u,\n"
-                     "  \"points\": [\n",
-                     skew.name.c_str(), skew.num_queries,
-                     sim_latency_us);
-        const AsyncPoint *arms[] = {&sync_point, &async_point};
-        for (std::size_t i = 0; i < 2; ++i) {
-            const AsyncPoint &p = *arms[i];
-            std::fprintf(
-                f,
-                "    {\"mode\": \"%s\", \"qps\": %.1f, "
-                "\"mean_us\": %.1f, \"p99_us\": %.1f, "
-                "\"hop_reads_per_query\": %.2f, "
-                "\"ios_per_query\": %.2f, "
-                "\"eff_queue_depth\": %.3f, \"recall\": %.4f}%s\n",
-                p.label, p.qps, p.mean_us, p.p99_us, p.hop_reads,
-                p.backend_ops, p.eff_qd, p.recall,
-                i + 1 < 2 ? "," : "");
-        }
-        std::fprintf(f,
-                     "  ],\n  \"speedup\": %.3f,\n"
-                     "  \"min_speedup_gate\": %.2f,\n"
-                     "  \"bit_identical\": %s,\n"
-                     "  \"dedup\": {\"threads\": %zu, "
-                     "\"backend_ops_per_query_off\": %.2f, "
-                     "\"backend_ops_per_query_on\": %.2f, "
-                     "\"eff_queue_depth_off\": %.3f, "
-                     "\"eff_queue_depth_on\": %.3f, "
-                     "\"ios_deduped\": %llu, \"ratio\": %.3f, "
-                     "\"min_dedup_gate\": %.2f}\n}\n",
-                     speedup, min_speedup,
-                     identical ? "true" : "false", kThreads,
-                     off_arm.backend_ops, on_arm.backend_ops,
-                     off_arm.eff_qd, on_arm.eff_qd,
-                     static_cast<unsigned long long>(on_arm.deduped),
-                     dedup_ratio, min_dedup);
+        std::fprintf(
+            f,
+            "{\n  \"dataset\": \"%s\",\n"
+            "  \"queries\": %zu,\n"
+            "  \"sim_latency_us\": %u,\n"
+            "  \"pipelined\": {\"qps\": %.1f, \"mean_us\": %.1f, "
+            "\"p99_us\": %.1f, \"hop_reads_per_query\": %.2f, "
+            "\"ios_per_query\": %.2f, \"eff_queue_depth\": %.3f, "
+            "\"recall\": %.4f},\n"
+            "  \"bit_identical\": %s,\n"
+            "  \"dedup\": {\"threads\": %zu, "
+            "\"backend_ops_per_query_off\": %.2f, "
+            "\"backend_ops_per_query_on\": %.2f, "
+            "\"eff_queue_depth_off\": %.3f, "
+            "\"eff_queue_depth_on\": %.3f, "
+            "\"ios_deduped\": %llu, \"ratio\": %.3f, "
+            "\"min_dedup_gate\": %.2f}\n}\n",
+            skew.name.c_str(), skew.num_queries, sim_latency_us,
+            point.qps, point.mean_us, point.p99_us, point.hop_reads,
+            point.backend_ops, point.eff_qd, point.recall,
+            identical ? "true" : "false", kThreads,
+            off_arm.backend_ops, on_arm.backend_ops, off_arm.eff_qd,
+            on_arm.eff_qd,
+            static_cast<unsigned long long>(on_arm.deduped),
+            dedup_ratio, min_dedup);
         std::fclose(f);
         std::cout << "wrote " << json_path << "\n";
     } else {

@@ -51,6 +51,9 @@ BinaryReader::BinaryReader(const std::string &path,
     : in_(path, std::ios::binary), path_(path)
 {
     ANN_CHECK(in_.is_open(), "cannot open for reading: ", path);
+    std::error_code ec;
+    size_ = std::filesystem::file_size(path, ec);
+    ANN_CHECK(!ec, "cannot stat ", path, ": ", ec.message());
     const std::string found_magic = readString();
     ANN_CHECK(found_magic == magic, "bad magic in ", path, ": expected '",
               magic, "' found '", found_magic, "'");
@@ -63,7 +66,7 @@ std::string
 BinaryReader::readString()
 {
     const auto size = readPod<std::uint64_t>();
-    ANN_CHECK(size < (1ULL << 32), "unreasonable string size in ", path_);
+    checkRemaining(size, 1);
     std::string value(size, '\0');
     readBytes(value.data(), size);
     return value;
@@ -76,6 +79,16 @@ BinaryReader::readBytes(void *data, std::size_t size)
              static_cast<std::streamsize>(size));
     ANN_CHECK(static_cast<std::size_t>(in_.gcount()) == size,
               "short read from ", path_);
+}
+
+void
+BinaryReader::checkRemaining(std::uint64_t count, std::size_t elem_bytes)
+{
+    const auto pos = static_cast<std::uint64_t>(in_.tellg());
+    const std::uint64_t left = pos <= size_ ? size_ - pos : 0;
+    ANN_CHECK(count <= left / elem_bytes, "corrupt archive ", path_,
+              ": length ", count, " exceeds the ", left,
+              " bytes left");
 }
 
 bool

@@ -107,6 +107,7 @@ class BinaryReader
         static_assert(std::is_trivially_copyable_v<T>,
                       "readVector requires trivially copyable elements");
         const auto count = readPod<std::uint64_t>();
+        checkRemaining(count, sizeof(T));
         std::vector<T> values(count);
         if (count > 0)
             readBytes(values.data(), count * sizeof(T));
@@ -125,9 +126,16 @@ class BinaryReader
 
   private:
     void readBytes(void *data, std::size_t size);
+    /**
+     * Throw unless @p count elements of @p elem_bytes fit in the rest
+     * of the file: a corrupt length prefix must fail as a typed error,
+     * not as a huge allocation.
+     */
+    void checkRemaining(std::uint64_t count, std::size_t elem_bytes);
 
     std::ifstream in_;
     std::string path_;
+    std::uint64_t size_ = 0;
 };
 
 /** @return true when @p path exists and is a regular file. */

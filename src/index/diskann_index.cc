@@ -1,8 +1,11 @@
 #include "index/diskann_index.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <optional>
 
 #include "common/error.hh"
 #include "common/hotpath.hh"
@@ -14,6 +17,7 @@
 #include "index/vamana.hh"
 #include "index/visit_table.hh"
 #include "learn/policy.hh"
+#include "storage/sector_reader.hh"
 
 namespace ann {
 
@@ -76,55 +80,6 @@ struct DiskHeader
     std::uint64_t code_bytes;
 };
 
-/**
- * Speculative next-hop stash slots for the async beam path
- * ($ANN_ASYNC_BEAM): while one hop drains, the runner-up frontier
- * candidates' records are prefetched into these fixed per-query
- * buffers; a hit on the next hop removes that node's read from the
- * critical path entirely. Fixed count bounds the wasted I/O when the
- * frontier prediction misses.
- */
-constexpr std::size_t kSpecSlots = 16;
-/** Completion-tag space: hop miss runs use [0, kSpecTagBase),
- *  speculative slot reads use kSpecTagBase + slot. */
-constexpr std::uint64_t kSpecTagBase = std::uint64_t{1} << 32;
-
-struct SpecSlot
-{
-    enum State : std::uint8_t { Free, InFlight, Ready };
-    std::uint64_t first = 0; ///< first sector covered
-    std::uint32_t age = 0;   ///< hop of issue (eviction order)
-    State state = Free;
-    bool consumed = false; ///< served a hop sector; freed at hop end
-};
-
-/** Per-sector wait state of one async hop. */
-enum class SectorWait : std::uint8_t
-{
-    Ready,      ///< bytes are in the fetch buffer
-    OwnedRun,   ///< part of miss run aux[i], in flight on our queue
-    SharedRead, ///< another query's in-flight read (single-flight)
-    SpecRead,   ///< speculative slot aux[i], in flight on our queue
-};
-
-/**
- * Unwind guard for single-flight ownership: any sector still in
- * @p owned when a hop unwinds gets its flight cancelled, releasing
- * queries attached to it (cancelling a published sector is a no-op).
- */
-struct FlightGuard
-{
-    storage::SectorCache *cache;
-    std::vector<std::uint64_t> &owned;
-    ~FlightGuard()
-    {
-        if (cache)
-            for (const std::uint64_t sector : owned)
-                cache->cancelFetch(sector);
-        owned.clear();
-    }
-};
-
 /** Candidate-list entry of the beam search (PQ-ranked). */
 struct BeamEntry
 {
@@ -144,8 +99,7 @@ struct BeamEntry
  * Per-query scratch arena of the beam search (see search_scratch.hh).
  * Every container is fully re-initialized per query, so a reused and
  * a fresh arena produce identical results; only allocator traffic
- * differs. The sector fetch buffer itself stays in tls_fetch (shared
- * with fetchRecord(), and the io_uring registered-buffer region).
+ * differs. The sector fetch buffer itself stays in tls_fetch.
  */
 struct DiskAnnScratch
 {
@@ -153,23 +107,7 @@ struct DiskAnnScratch
     std::vector<BeamEntry> cands;
     std::vector<VectorId> beam;
     std::vector<std::uint64_t> sectors;
-    std::vector<std::size_t> miss_slots;
-    std::vector<std::uint64_t> miss_sectors;
     std::vector<storage::IoRun> runs;
-    std::vector<storage::IoRequest> requests;
-    /** Hop sectors attached to another query's read (single-flight). */
-    std::vector<std::size_t> shared_slots;
-    /** Owned sectors claimed but not yet published (unwind safety). */
-    std::vector<std::uint64_t> unpublished;
-    /** Async beam state: per-sector wait category + aux (run index or
-     *  spec slot), the speculative stash, and poll scratch. */
-    std::vector<SectorWait> sector_wait;
-    std::vector<std::uint32_t> sector_aux;
-    std::vector<SpecSlot> spec;
-    /** Sector-aligned (O_DIRECT-safe) stash backing the spec slots. */
-    storage::AlignedBuffer spec_bytes;
-    std::vector<std::uint64_t> tags;
-    std::vector<std::uint64_t> done_tags;
     std::vector<std::uint8_t> node_done;
     /** Unvisited neighbours awaiting (batched) ADC scoring. */
     std::vector<VectorId> pending;
@@ -625,28 +563,12 @@ DiskAnnIndex::readSectors(std::uint64_t first, std::uint32_t count,
         io_->readBatch(&req, 1);
         return;
     }
-    // Hit/miss partition matching the beam hops: hits copy in place,
-    // miss runs reach the backend and are admitted afterwards.
-    std::uint32_t s = 0;
-    while (s < count) {
-        if (cache_->lookup(first + s,
-                           dest + std::size_t{s} * kSectorBytes)) {
-            ++s;
-            continue;
-        }
-        std::uint32_t e = s + 1;
-        while (e < count &&
-               !cache_->lookup(first + e,
-                               dest + std::size_t{e} * kSectorBytes))
-            ++e;
-        const storage::IoRequest req{
-            first + s, e - s, dest + std::size_t{s} * kSectorBytes};
-        io_->readBatch(&req, 1);
-        for (std::uint32_t j = s; j < e; ++j)
-            cache_->admit(first + j,
-                          dest + std::size_t{j} * kSectorBytes);
-        s = e + (e < count ? 1 : 0);
-    }
+    // The same cached fetch the beam hops run, so load-path reads
+    // share their I/O accounting and single-flight dedupe.
+    std::vector<std::uint64_t> sectors(count);
+    std::iota(sectors.begin(), sectors.end(), first);
+    storage::SectorReader reader(*io_, cache_.get());
+    reader.fetch(sectors.data(), sectors.size(), dest);
 }
 
 SearchResult
@@ -806,14 +728,9 @@ DiskAnnIndex::searchInto(const float *query,
     reranked.reset(params.k);
     std::vector<VectorId> &beam = scratch->beam;
     std::vector<std::uint64_t> &sectors = scratch->sectors;
-    std::vector<std::size_t> &miss_slots = scratch->miss_slots;
-    std::vector<std::uint64_t> &miss_sectors = scratch->miss_sectors;
     std::vector<storage::IoRun> &runs = scratch->runs;
-    std::vector<storage::IoRequest> &requests = scratch->requests;
     std::vector<VectorId> &pending = scratch->pending;
     std::vector<float> &beam_dists = scratch->beam_dists;
-    std::vector<std::size_t> &shared_slots = scratch->shared_slots;
-    std::vector<std::uint64_t> &unpublished = scratch->unpublished;
 
     float stop_threshold = 0.0f;
     std::size_t stop_min_hops = 0;
@@ -835,39 +752,13 @@ DiskAnnIndex::searchInto(const float *query,
     float best_kth_seen = std::numeric_limits<float>::infinity();
     std::uint32_t last_improve_hop = 0;
 
-    // Zero-copy image when memory-resident; otherwise each hop
-    // fetches its beam through the backend.
+    // Zero-copy image when memory-resident; otherwise every hop
+    // fetches its beam through one per-query SectorReader, whose
+    // queue (opened on the first miss) pipelines the hop's reads.
     const std::uint8_t *image = io_->data();
-    const std::uint8_t *fetched = nullptr;
-
-    // Async pipelined hops ($ANN_ASYNC_BEAM): a per-query submit/poll
-    // queue replaces the per-hop readBatch() barrier — completed
-    // nodes are scored while the rest of the hop is in flight, and
-    // the likeliest next-hop frontier is speculatively prefetched
-    // into the stash. The queue is per-query so its destructor drains
-    // every in-flight read before the scratch buffers can be reused.
-    const bool async = !image && storage::asyncBeamEnabled();
-    std::unique_ptr<storage::IoQueue> ioq;
-    std::size_t ioq_outstanding = 0;
-    const std::size_t spn = sectorsPerNode_;
-    std::vector<SpecSlot> &spec = scratch->spec;
-    if (async) {
-        ioq = io_->openQueue();
-        spec.assign(kSpecSlots, SpecSlot{});
-        scratch->spec_bytes.ensure(kSpecSlots * spn * kSectorBytes);
-        scratch->done_tags.resize(128);
-    }
-    const auto spec_bytes_of = [&](std::size_t sl) {
-        return scratch->spec_bytes.data() + sl * spn * kSectorBytes;
-    };
-    const auto spec_find = [&](std::uint64_t sector) -> int {
-        for (std::size_t sl = 0; sl < spec.size(); ++sl)
-            if (spec[sl].state != SpecSlot::Free &&
-                spec[sl].first <= sector &&
-                sector < spec[sl].first + spn)
-                return static_cast<int>(sl);
-        return -1;
-    };
+    std::optional<storage::SectorReader> reader;
+    if (!image)
+        reader.emplace(*io_, cache_.get());
 
     for (;;) {
         // Decision-time frontier stats (cands is sorted on entry to
@@ -941,242 +832,38 @@ DiskAnnIndex::searchInto(const float *query,
             sectors.erase(std::unique(sectors.begin(), sectors.end()),
                           sectors.end());
         }
+        // One fetch-buffer slot per beam sector, in sorted order: cache
+        // hits land at start(), the rest as their reads complete.
         std::uint8_t *buf = nullptr;
-        // Owned single-flight claims are cancelled on unwind so
-        // attached queries never wait on a read that will not happen;
-        // the list is cleared at hop end on the success path
-        // (cancelling an already-published sector is a no-op).
-        FlightGuard flight_guard{cache_.get(), unpublished};
-        unpublished.clear();
-        shared_slots.clear();
         if (!image) {
-            // Partition the hop into cache hits (copied into their
-            // fetch-buffer slot, zero I/O), speculative-stash hits,
-            // sectors attached to another query's in-flight read
-            // (single-flight), and misses (one batched submission
-            // below). The buffer keeps one slot per beam sector in
-            // sorted order regardless, so record_of() below is
-            // oblivious to which slots came from where.
             buf = tls_fetch.ensure(sectors.size() * kSectorBytes);
-            miss_slots.clear();
-            miss_sectors.clear();
-            if (async) {
-                scratch->sector_wait.assign(sectors.size(),
-                                            SectorWait::Ready);
-                scratch->sector_aux.assign(sectors.size(), 0);
-            }
-            for (std::size_t i = 0; i < sectors.size(); ++i) {
-                if (async) {
-                    // Speculative stash first: its slots hold real
-                    // bytes fetched ahead of this hop.
-                    const int sl = spec_find(sectors[i]);
-                    if (sl >= 0) {
-                        SpecSlot &ss = spec[static_cast<size_t>(sl)];
-                        ss.consumed = true;
-                        if (ss.state == SpecSlot::Ready) {
-                            std::memcpy(
-                                buf + i * kSectorBytes,
-                                spec_bytes_of(
-                                    static_cast<size_t>(sl)) +
-                                    (sectors[i] - ss.first) *
-                                        kSectorBytes,
-                                kSectorBytes);
-                            if (cache_)
-                                cache_->admit(sectors[i],
-                                              buf + i * kSectorBytes);
-                        } else { // still in flight on our queue
-                            scratch->sector_wait[i] =
-                                SectorWait::SpecRead;
-                            scratch->sector_aux[i] =
-                                static_cast<std::uint32_t>(sl);
-                        }
-                        continue;
-                    }
-                }
-                if (cache_ && cache_->lookup(sectors[i],
-                                             buf + i * kSectorBytes))
-                    continue;
-                if (cache_) {
-                    // Single-flight: attach to another query's
-                    // in-flight read of this sector instead of
-                    // duplicating it.
-                    const storage::FetchClaim claim =
-                        cache_->beginFetch(sectors[i],
-                                           buf + i * kSectorBytes);
-                    if (claim == storage::FetchClaim::Cached)
-                        continue;
-                    if (claim == storage::FetchClaim::Shared) {
-                        shared_slots.push_back(i);
-                        if (async)
-                            scratch->sector_wait[i] =
-                                SectorWait::SharedRead;
-                        continue;
-                    }
-                    unpublished.push_back(sectors[i]);
-                }
-                if (async)
-                    scratch->sector_wait[i] = SectorWait::OwnedRun;
-                miss_slots.push_back(i);
-                miss_sectors.push_back(sectors[i]);
-            }
-            storage::coalesceSectors(miss_sectors, runs);
-        } else if (recorder) {
-            storage::coalesceSectors(sectors, runs);
+            reader->start(sectors.data(), sectors.size(), buf);
         }
         if (recorder) {
             // Only sectors that reach the backend are charged to the
             // simulator; hop sectors served by the cache cost no I/O.
+            if (image)
+                storage::coalesceSectors(sectors, runs);
+            const std::vector<storage::IoRun> &issued =
+                image ? runs : reader->submitted();
             std::vector<SectorRead> reads;
-            reads.reserve(runs.size());
-            for (const storage::IoRun &run : runs)
+            reads.reserve(issued.size());
+            for (const storage::IoRun &run : issued)
                 reads.push_back({run.sector, run.count});
             recorder->cpu() += local_ops;
             local_ops = OpCounts{};
             recorder->issueReads(std::move(reads));
         }
-        if (!image) {
-            // One batched submission for the hop's misses. A
-            // value-contiguous run is slot-contiguous too (sectors is
-            // sorted and gap-free inside a run), so each run lands as
-            // one read at its first sector's slot.
-            requests.clear();
-            for (const storage::IoRun &run : runs) {
-                const auto slot = static_cast<std::size_t>(
-                    std::lower_bound(sectors.begin(), sectors.end(),
-                                     run.sector) -
-                    sectors.begin());
-                requests.push_back({run.sector, run.count,
-                                    buf + slot * kSectorBytes});
-                if (async) {
-                    // Remember each sector's owning run for
-                    // completion marking (tag = run index).
-                    for (std::uint32_t j = 0; j < run.count; ++j)
-                        scratch->sector_aux[slot + j] =
-                            static_cast<std::uint32_t>(
-                                requests.size() - 1);
-                }
-            }
-            if (async) {
-                // Pipelined: submit without waiting; completions are
-                // consumed below while nodes are scored.
-                scratch->tags.clear();
-                for (std::size_t r = 0; r < requests.size(); ++r)
-                    scratch->tags.push_back(r);
-                if (!requests.empty()) {
-                    ioq->submitBatch(requests.data(), requests.size(),
-                                     scratch->tags.data());
-                    ioq_outstanding += requests.size();
-                }
-                // Speculative next-hop frontier: the closest
-                // still-unexpanded candidates are the likeliest next
-                // beam; prefetch them into free stash slots while
-                // this hop drains. Mispredictions cost bounded I/O
-                // (the stash size) and zero correctness: results are
-                // a pure function of the bytes, which are identical.
-                std::size_t budget = 2 * params.beam_width;
-                for (const BeamEntry &entry : cands) {
-                    if (budget == 0)
-                        break;
-                    if (entry.expanded)
-                        continue;
-                    --budget;
-                    const std::uint64_t first = sectorOfNode(entry.id);
-                    if (spec_find(first) >= 0)
-                        continue;
-                    if (cache_ && cache_->probe(first))
-                        continue;
-                    if (std::binary_search(sectors.begin(),
-                                           sectors.end(), first))
-                        continue; // this hop reads it anyway
-                    int slot = -1;
-                    for (std::size_t sl = 0; sl < spec.size(); ++sl) {
-                        if (spec[sl].state == SpecSlot::Free) {
-                            slot = static_cast<int>(sl);
-                            break;
-                        }
-                        // Never-consumed Ready slots are
-                        // mispredictions; evict the oldest.
-                        if (spec[sl].state == SpecSlot::Ready &&
-                            !spec[sl].consumed &&
-                            (slot < 0 ||
-                             spec[sl].age <
-                                 spec[static_cast<std::size_t>(slot)]
-                                     .age))
-                            slot = static_cast<int>(sl);
-                    }
-                    if (slot < 0)
-                        break; // stash is all in-flight
-                    SpecSlot &ss = spec[static_cast<std::size_t>(slot)];
-                    ss.first = first;
-                    ss.age = hop;
-                    ss.state = SpecSlot::InFlight;
-                    ss.consumed = false;
-                    const storage::IoRequest sreq{
-                        first, static_cast<std::uint32_t>(spn),
-                        spec_bytes_of(static_cast<std::size_t>(slot))};
-                    const std::uint64_t stag =
-                        kSpecTagBase +
-                        static_cast<std::uint64_t>(slot);
-                    ioq->submitBatch(&sreq, 1, &stag);
-                    ++ioq_outstanding;
-                }
-            } else {
-                if (!requests.empty())
-                    io_->readBatch(requests.data(), requests.size(),
-                                   tls_fetch.region());
-                if (cache_) {
-                    // Publish = admit + wake any attached queries.
-                    for (std::size_t i = 0; i < miss_slots.size(); ++i)
-                        cache_->publishFetch(
-                            miss_sectors[i],
-                            buf + miss_slots[i] * kSectorBytes);
-                    // Shared sectors: the owner publishes when its
-                    // read lands; a cancelled owner means we fetch
-                    // the sector ourselves.
-                    for (const std::size_t si : shared_slots) {
-                        if (cache_->waitFetch(sectors[si],
-                                              buf + si *
-                                                        kSectorBytes) ==
-                            storage::FetchStatus::Cancelled) {
-                            const storage::IoRequest req{
-                                sectors[si], 1,
-                                buf + si * kSectorBytes};
-                            io_->readBatch(&req, 1);
-                            cache_->admit(sectors[si],
-                                          buf + si * kSectorBytes);
-                        }
-                    }
-                }
-            }
-            fetched = buf;
-        }
 
-        // A beam node's record: directly in the image, or at its
-        // sector's slot in the fetch buffer (sectors are laid out in
-        // sorted order there).
-        const auto record_of =
-            [&](VectorId node) -> const std::uint8_t * {
-            if (image)
-                return image + sectorOfNode(node) * kSectorBytes +
-                       recordOffsetInSector(node);
-            const auto it =
-                std::lower_bound(sectors.begin(), sectors.end(),
-                                 sectorOfNode(node));
-            return fetched +
-                   static_cast<std::size_t>(it - sectors.begin()) *
-                       kSectorBytes +
-                   recordOffsetInSector(node);
-        };
-
-        // Consume the read node records. Processing ORDER within a
-        // hop cannot change results: the visited filter makes the
+        // Consume one node record. Processing ORDER within a hop
+        // cannot change results: the visited filter makes the
         // newly-scored neighbour SET order-independent, each ADC
         // distance is a pure function of the neighbour id, and the
         // (distance, id) sort below is a total order over the unique
-        // ids in cands — so the async path may score nodes in
-        // completion order and stay bit-identical to the sync path.
-        const auto process_node = [&](VectorId node) {
-            const std::uint8_t *record = record_of(node);
+        // ids in cands — so the real-I/O path scores nodes in
+        // completion order and stays bit-identical to the image.
+        const auto process_node = [&](VectorId node,
+                                      const std::uint8_t *record) {
             const float *vec = reinterpret_cast<const float *>(record);
             if (!deleted_[node])
                 reranked.push(node, l2DistanceSq(query, vec, dim_));
@@ -1261,137 +948,38 @@ DiskAnnIndex::searchInto(const float *query,
             local_ops.heap_ops += pending.size();
         };
 
-        if (!async) {
+        if (image) {
             for (VectorId node : beam)
-                process_node(node);
+                process_node(node, image +
+                                       sectorOfNode(node) * kSectorBytes +
+                                       recordOffsetInSector(node));
         } else {
             // Pipelined drain: score each node the moment its sectors
-            // are resident instead of waiting for the whole hop.
-            const auto handle_completion = [&](std::uint64_t tag) {
-                if (tag >= kSpecTagBase) {
-                    const auto sl =
-                        static_cast<std::size_t>(tag - kSpecTagBase);
-                    SpecSlot &ss = spec[sl];
-                    ss.state = SpecSlot::Ready;
-                    if (!ss.consumed)
-                        return; // pure prefetch; maybe next hop's
-                    // This hop already claimed the slot while it was
-                    // in flight: land its sectors in the fetch buffer.
-                    for (std::size_t i = 0; i < sectors.size(); ++i) {
-                        if (scratch->sector_wait[i] !=
-                                SectorWait::SpecRead ||
-                            scratch->sector_aux[i] != sl)
-                            continue;
-                        std::memcpy(buf + i * kSectorBytes,
-                                    spec_bytes_of(sl) +
-                                        (sectors[i] - ss.first) *
-                                            kSectorBytes,
-                                    kSectorBytes);
-                        if (cache_)
-                            cache_->admit(sectors[i],
-                                          buf + i * kSectorBytes);
-                        scratch->sector_wait[i] = SectorWait::Ready;
-                    }
-                    return;
-                }
-                // Hop run: its slots are contiguous from the request's
-                // destination. Publishing wakes queries attached to
-                // these sectors via single-flight.
-                const storage::IoRequest &req =
-                    requests[static_cast<std::size_t>(tag)];
-                const auto slot0 = static_cast<std::size_t>(
-                    (req.dest - buf) / kSectorBytes);
-                for (std::uint32_t j = 0; j < req.count; ++j) {
-                    scratch->sector_wait[slot0 + j] = SectorWait::Ready;
-                    if (cache_)
-                        cache_->publishFetch(sectors[slot0 + j],
-                                             buf + (slot0 + j) *
-                                                       kSectorBytes);
-                }
-            };
-            const auto node_ready = [&](VectorId node) {
-                const std::uint64_t first = sectorOfNode(node);
-                auto it = std::lower_bound(sectors.begin(),
-                                           sectors.end(), first);
-                const auto s0 = static_cast<std::size_t>(
-                    it - sectors.begin());
-                for (std::size_t s = 0; s < sectorsPerNode_; ++s)
-                    if (scratch->sector_wait[s0 + s] !=
-                        SectorWait::Ready)
-                        return false;
-                return true;
-            };
-            scratch->node_done.assign(beam.size(), 0);
+            // are in instead of waiting for the whole hop.
+            std::vector<std::uint8_t> &node_done = scratch->node_done;
+            node_done.assign(beam.size(), 0);
             std::size_t done_nodes = 0;
-            while (done_nodes < beam.size()) {
-                bool progress = false;
-                if (ioq_outstanding > 0) {
-                    const std::size_t got = ioq->pollCompletions(
-                        scratch->done_tags.data(),
-                        scratch->done_tags.size(), 0);
-                    for (std::size_t t = 0; t < got; ++t)
-                        handle_completion(scratch->done_tags[t]);
-                    ioq_outstanding -= got;
-                    progress = got > 0;
-                }
+            for (;;) {
                 for (std::size_t bi = 0; bi < beam.size(); ++bi) {
-                    if (scratch->node_done[bi] || !node_ready(beam[bi]))
+                    if (node_done[bi])
                         continue;
-                    process_node(beam[bi]);
-                    scratch->node_done[bi] = 1;
+                    const VectorId node = beam[bi];
+                    const auto slot = static_cast<std::size_t>(
+                        std::lower_bound(sectors.begin(), sectors.end(),
+                                         sectorOfNode(node)) -
+                        sectors.begin());
+                    if (!reader->ready(slot, sectorsPerNode_))
+                        continue;
+                    process_node(node, buf + slot * kSectorBytes +
+                                           recordOffsetInSector(node));
+                    node_done[bi] = 1;
                     ++done_nodes;
-                    progress = true;
                 }
-                if (progress)
-                    continue;
-                // Stalled on I/O. Prefer a bounded wait on a sector
-                // another query owns — bounded so we come back and
-                // drain our own completions, which is what keeps
-                // cross-query waits deadlock-free.
-                std::size_t shared_i = sectors.size();
-                for (std::size_t i = 0; i < sectors.size(); ++i) {
-                    if (scratch->sector_wait[i] ==
-                        SectorWait::SharedRead) {
-                        shared_i = i;
-                        break;
-                    }
-                }
-                if (shared_i < sectors.size()) {
-                    const storage::FetchStatus st = cache_->waitFetchFor(
-                        sectors[shared_i],
-                        buf + shared_i * kSectorBytes, 200);
-                    if (st == storage::FetchStatus::Cancelled) {
-                        const storage::IoRequest req{
-                            sectors[shared_i], 1,
-                            buf + shared_i * kSectorBytes};
-                        io_->readBatch(&req, 1);
-                        cache_->admit(sectors[shared_i],
-                                      buf + shared_i * kSectorBytes);
-                    }
-                    if (st != storage::FetchStatus::Timeout)
-                        scratch->sector_wait[shared_i] =
-                            SectorWait::Ready;
-                    continue;
-                }
-                ANN_ASSERT(ioq_outstanding > 0,
-                           "async beam search stalled: nodes "
-                           "unprocessed with no I/O outstanding");
-                const std::size_t got = ioq->pollCompletions(
-                    scratch->done_tags.data(),
-                    scratch->done_tags.size(), 1);
-                for (std::size_t t = 0; t < got; ++t)
-                    handle_completion(scratch->done_tags[t]);
-                ioq_outstanding -= got;
+                if (done_nodes == beam.size())
+                    break;
+                reader->wait();
             }
-            // Stash slots this hop consumed have served their purpose;
-            // unconsumed Ready slots stay for the next hop's lookup.
-            for (SpecSlot &ss : spec)
-                if (ss.state == SpecSlot::Ready && ss.consumed)
-                    ss = SpecSlot{};
         }
-        // Success: every owned sector was published above, so disarm
-        // the guard (cancelFetch on the unwind path only).
-        unpublished.clear();
         expanded_total += beam.size();
         ++hop;
         std::sort(cands.begin(), cands.end());
@@ -1531,6 +1119,13 @@ DiskAnnIndex::save(BinaryWriter &writer) const
 void
 DiskAnnIndex::load(BinaryReader &reader)
 {
+    // Every field below bounds a later table lookup or read (record
+    // offsets, the visited table, the ADC table), so each is checked
+    // here and a corrupt archive fails as a typed error instead of
+    // reading or writing out of bounds at search time.
+    const auto check = [](bool ok, const char *what) {
+        ANN_CHECK(ok, "corrupt diskann archive (", what, ")");
+    };
     ANN_CHECK(reader.readString() == kMagic, "not a diskann archive");
     const auto version = reader.readPod<std::uint32_t>();
     ANN_CHECK(version == kVersionIdOrder ||
@@ -1544,6 +1139,10 @@ DiskAnnIndex::load(BinaryReader &reader)
     nodesPerSector_ = reader.readPod<std::uint64_t>();
     sectorsPerNode_ = reader.readPod<std::uint64_t>();
     medoid_ = reader.readPod<VectorId>();
+    check(rows_ > 0 && rows_ < kInvalidVector, "rows");
+    check(dim_ > 0 && dim_ <= (1u << 16), "dim");
+    check(maxDegree_ <= (1u << 16), "max degree");
+    check(medoid_ < rows_, "medoid");
     layout_ = LayoutPolicy::IdOrder;
     nodePos_.clear();
     permSectors_ = 0;
@@ -1554,8 +1153,14 @@ DiskAnnIndex::load(BinaryReader &reader)
             reader.readPod<std::uint32_t>());
         nodePos_ = reader.readVector<std::uint32_t>();
         if (layout_ == LayoutPolicy::PackedBfs) {
-            ANN_CHECK(nodePos_.size() == rows_,
-                      "corrupt diskann archive (permutation size)");
+            check(nodePos_.size() == rows_, "permutation size");
+            // A permutation of [0, rows): every record position is
+            // in range and owned by exactly one node.
+            std::vector<std::uint8_t> taken(rows_, 0);
+            for (const std::uint32_t pos : nodePos_) {
+                check(pos < rows_ && !taken[pos], "permutation");
+                taken[pos] = 1;
+            }
             permSectors_ = (rows_ * sizeof(std::uint32_t) +
                             kSectorBytes - 1) /
                            kSectorBytes;
@@ -1570,6 +1175,18 @@ DiskAnnIndex::load(BinaryReader &reader)
             embeddedCodeBytes_ =
                 reader.readPod<std::uint64_t>();
     }
+    check(embeddedCodeBytes_ <= 256, "embedded code bytes");
+    check(nodeBytes_ == dim_ * sizeof(float) + sizeof(std::uint32_t) +
+                            maxDegree_ * sizeof(std::uint32_t) +
+                            maxDegree_ * embeddedCodeBytes_,
+          "node bytes");
+    check(nodeBytes_ <= kSectorBytes
+              ? nodesPerSector_ == kSectorBytes / nodeBytes_ &&
+                    sectorsPerNode_ == 1
+              : nodesPerSector_ == 0 &&
+                    sectorsPerNode_ == (nodeBytes_ + kSectorBytes - 1) /
+                                           kSectorBytes,
+          "record packing");
     buildParams_.layout = layout_;
     // Keep consolidate() archive-stable: a rebuild embeds codes only
     // if this archive had them.
@@ -1582,8 +1199,12 @@ DiskAnnIndex::load(BinaryReader &reader)
     buildParams_.pq.ksub = reader.readPod<std::uint64_t>();
     deltaVectors_ = reader.readVector<float>();
     deltaCount_ = reader.readPod<std::uint64_t>();
+    check(deltaCount_ <= deltaVectors_.size() &&
+              deltaVectors_.size() == deltaCount_ * dim_,
+          "delta store");
     {
         const auto tombstones = reader.readVector<std::uint8_t>();
+        check(tombstones.size() == rows_ + deltaCount_, "tombstones");
         deleted_.assign(tombstones.size(), false);
         deletedCount_ = 0;
         for (std::size_t i = 0; i < tombstones.size(); ++i) {
@@ -1594,21 +1215,73 @@ DiskAnnIndex::load(BinaryReader &reader)
         }
     }
     pq_.load(reader);
+    const std::size_t code_size = pq_.codeSize();
+    check(pq_.dim() == dim_, "pq dim");
+    check(embeddedCodeBytes_ == 0 || embeddedCodeBytes_ == code_size,
+          "embedded code size");
     pqCodes_ = reader.readVector<std::uint8_t>();
+    check(pqCodes_.size() == rows_ * code_size, "pq codes");
+    const std::size_t ksub = pq_.codebookSize();
+    for (const std::uint8_t code : pqCodes_)
+        check(code < ksub, "pq code");
+
     // Stream the node file straight into the configured backend
-    // instead of materializing it (readVector layout, see save()).
+    // instead of materializing it (readVector layout, see save()),
+    // validating every record on the way: the header region goes
+    // first, so each data chunk holds whole records.
     const auto image_bytes = reader.readPod<std::uint64_t>();
-    ANN_CHECK(image_bytes == numSectors() * kSectorBytes,
-              "corrupt diskann archive");
+    check(image_bytes == numSectors() * kSectorBytes, "image size");
+    const auto check_record = [&](const std::uint8_t *record) {
+        for (std::size_t d = 0; d < dim_; ++d) {
+            float value;
+            std::memcpy(&value, record + d * sizeof(float),
+                        sizeof(value));
+            check(std::isfinite(value), "vector");
+        }
+        std::uint32_t degree = 0;
+        std::memcpy(&degree, record + dim_ * sizeof(float),
+                    sizeof(degree));
+        check(degree <= maxDegree_, "degree");
+        const std::uint8_t *ids =
+            record + dim_ * sizeof(float) + sizeof(degree);
+        const std::uint8_t *codes =
+            ids + maxDegree_ * sizeof(std::uint32_t);
+        for (std::uint32_t i = 0; i < degree; ++i) {
+            std::uint32_t nb = 0;
+            std::memcpy(&nb, ids + i * sizeof(nb), sizeof(nb));
+            check(nb < rows_, "neighbour id");
+            for (std::size_t c = 0; c < embeddedCodeBytes_; ++c)
+                check(codes[i * embeddedCodeBytes_ + c] < ksub,
+                      "embedded code");
+        }
+    };
     auto sink = storage::makeIoSink(effectiveIoOptions(), image_bytes);
-    std::vector<std::uint8_t> chunk(kStreamSectors * kSectorBytes);
-    std::uint64_t remaining = image_bytes;
-    while (remaining > 0) {
-        const auto step = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk.size(), remaining));
-        reader.readRaw(chunk.data(), step);
-        sink->append(chunk.data(), step);
-        remaining -= step;
+    const std::size_t group = nodesPerSector_ > 0 ? 1 : sectorsPerNode_;
+    const std::size_t chunk_sectors =
+        std::max(group, kStreamSectors / group * group);
+    std::vector<std::uint8_t> chunk(chunk_sectors * kSectorBytes);
+    const std::uint64_t total_sectors = numSectors();
+    const std::uint64_t data_start = dataStartSector();
+    std::uint64_t sector = 0;
+    std::uint64_t pos = 0; // next record position to validate
+    while (sector < total_sectors) {
+        const std::uint64_t end =
+            sector < data_start
+                ? std::min(data_start, sector + chunk_sectors)
+                : std::min(total_sectors, sector + chunk_sectors);
+        const auto count = static_cast<std::size_t>(end - sector);
+        reader.readRaw(chunk.data(), count * kSectorBytes);
+        for (std::size_t j = 0; sector >= data_start && j < count;
+             j += group) {
+            const std::uint8_t *base = chunk.data() + j * kSectorBytes;
+            const std::size_t records =
+                nodesPerSector_ > 0 ? nodesPerSector_ : 1;
+            for (std::size_t r = 0; r < records && pos < rows_;
+                 ++r, ++pos)
+                check_record(base + r * nodeBytes_);
+        }
+        sink->append(chunk.data(), count * kSectorBytes);
+        sector = end;
     }
     io_ = sink->finish();
     attachCache();

@@ -205,6 +205,12 @@ class DiskAnnIndex
                     SearchTraceRecorder *recorder = nullptr) const;
 
     void save(BinaryWriter &writer) const;
+    /**
+     * Restore an archive written by save() (v3, v4 or v5).
+     * @throws FatalError on a truncated or corrupt archive: header
+     *         fields, the permutation, the medoid, the PQ codes and
+     *         every node record are validated before any search.
+     */
     void load(BinaryReader &reader);
 
   private:
@@ -227,11 +233,11 @@ class DiskAnnIndex
     /**
      * The single entry point for every non-beam read of the node
      * file: @p count sectors from @p first into @p dest. With
-     * @p use_cache the sector cache partitions the span into hits and
-     * miss runs and admits the misses, so load-path reads share the
-     * beam path's I/O accounting; bulk streams (save/setIoMode/warm
-     * BFS) pass false and bypass it — admitting a full-file stream
-     * would wash the cache out.
+     * @p use_cache the span goes through a SectorReader like a beam
+     * hop, so load-path reads share its cache, single-flight and I/O
+     * accounting; bulk streams (save/setIoMode/warm BFS) pass false
+     * and bypass it — admitting a full-file stream would wash the
+     * cache out.
      */
     void readSectors(std::uint64_t first, std::uint32_t count,
                      std::uint8_t *dest, bool use_cache) const;

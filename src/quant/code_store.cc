@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.hh"
+#include "storage/sector_reader.hh"
 
 namespace ann {
 
@@ -22,29 +23,9 @@ struct CodeFetchScratch
 {
     std::vector<std::uint64_t> sectors;
     storage::AlignedBuffer bytes;
-    std::vector<std::size_t> shared_slots;
-    std::vector<std::uint64_t> unpublished;
-    std::vector<std::uint64_t> miss_sectors;
-    std::vector<std::size_t> miss_slots;
-    std::vector<storage::IoRun> runs;
-    std::vector<storage::IoRequest> requests;
 };
 
 thread_local CodeFetchScratch tls_code_fetch;
-
-/** Cancel still-unpublished single-flight claims on unwind. */
-struct CodeFlightGuard
-{
-    storage::SectorCache *cache;
-    std::vector<std::uint64_t> &owned;
-    ~CodeFlightGuard()
-    {
-        if (cache)
-            for (const std::uint64_t sector : owned)
-                cache->cancelFetch(sector);
-        owned.clear();
-    }
-};
 
 } // namespace
 
@@ -155,65 +136,8 @@ PqCodeStore::fetchSlots(const std::uint64_t *slots, std::size_t n,
     std::uint8_t *buf = scratch.bytes.ensure(
         sectors.size() * storage::kIoSectorBytes);
 
-    // Same discipline as the graph fetch path: cache hits copy in
-    // place, misses claim single-flight ownership and go out as one
-    // batched submission of coalesced runs; shared sectors wait for
-    // the owning query's publish.
-    scratch.shared_slots.clear();
-    scratch.unpublished.clear();
-    scratch.miss_sectors.clear();
-    scratch.miss_slots.clear();
-    CodeFlightGuard guard{cache_.get(), scratch.unpublished};
-    for (std::size_t i = 0; i < sectors.size(); ++i) {
-        std::uint8_t *dest = buf + i * storage::kIoSectorBytes;
-        if (cache_) {
-            if (cache_->lookup(sectors[i], dest))
-                continue;
-            const storage::FetchClaim claim =
-                cache_->beginFetch(sectors[i], dest);
-            if (claim == storage::FetchClaim::Cached)
-                continue;
-            if (claim == storage::FetchClaim::Shared) {
-                scratch.shared_slots.push_back(i);
-                continue;
-            }
-            scratch.unpublished.push_back(sectors[i]);
-        }
-        scratch.miss_sectors.push_back(sectors[i]);
-        scratch.miss_slots.push_back(i);
-    }
-    storage::coalesceSectors(scratch.miss_sectors, scratch.runs);
-    scratch.requests.clear();
-    for (const storage::IoRun &run : scratch.runs) {
-        const auto slot = static_cast<std::size_t>(
-            std::lower_bound(sectors.begin(), sectors.end(),
-                             run.sector) -
-            sectors.begin());
-        scratch.requests.push_back(
-            {run.sector, run.count,
-             buf + slot * storage::kIoSectorBytes});
-    }
-    if (!scratch.requests.empty())
-        io_->readBatch(scratch.requests.data(),
-                       scratch.requests.size());
-    if (cache_) {
-        for (std::size_t i = 0; i < scratch.miss_slots.size(); ++i)
-            cache_->publishFetch(
-                scratch.miss_sectors[i],
-                buf + scratch.miss_slots[i] *
-                          storage::kIoSectorBytes);
-        for (const std::size_t si : scratch.shared_slots) {
-            std::uint8_t *dest =
-                buf + si * storage::kIoSectorBytes;
-            if (cache_->waitFetch(sectors[si], dest) ==
-                storage::FetchStatus::Cancelled) {
-                const storage::IoRequest req{sectors[si], 1, dest};
-                io_->readBatch(&req, 1);
-                cache_->admit(sectors[si], dest);
-            }
-        }
-    }
-    scratch.unpublished.clear();
+    storage::SectorReader reader(*io_, cache_.get());
+    reader.fetch(sectors.data(), sectors.size(), buf);
 
     for (std::size_t i = 0; i < n; ++i) {
         const auto it =

@@ -1,6 +1,7 @@
 #include "quant/product_quantizer.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "cluster/kmeans.hh"
@@ -159,10 +160,18 @@ ProductQuantizer::load(BinaryReader &reader)
     dim_ = reader.readPod<std::uint64_t>();
     m_ = reader.readPod<std::uint64_t>();
     ksub_ = reader.readPod<std::uint64_t>();
-    subDim_ = m_ ? dim_ / m_ : 0;
+    // Codes are one byte per subspace and index the codebooks, so
+    // every field bounds a later table lookup.
+    ANN_CHECK(m_ > 0 && m_ <= dim_ && dim_ % m_ == 0 && ksub_ > 0 &&
+                  ksub_ <= 256,
+              "corrupt product quantizer archive (shape)");
+    subDim_ = dim_ / m_;
     codebooks_ = reader.readVector<float>();
     ANN_CHECK(codebooks_.size() == m_ * ksub_ * subDim_,
               "corrupt product quantizer archive");
+    for (const float value : codebooks_)
+        ANN_CHECK(std::isfinite(value),
+                  "corrupt product quantizer archive (codebook)");
 }
 
 } // namespace ann

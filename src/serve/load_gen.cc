@@ -267,7 +267,8 @@ runOpenLoop(const LoadOptions &options)
 
     struct Outstanding
     {
-        Clock::time_point sent_at;
+        /** When the schedule wanted the request sent. */
+        Clock::time_point due;
         std::size_t query_index = 0;
     };
 
@@ -302,8 +303,12 @@ runOpenLoop(const LoadOptions &options)
                 const std::uint64_t id = next_id.fetch_add(1);
                 const std::size_t qi = id % dataset.num_queries;
                 {
+                    // Latency counts from the due time, not the real
+                    // send: a sender stalled behind a slow server (a
+                    // full socket, a late wakeup) would otherwise hide
+                    // that backlog — coordinated omission.
                     std::lock_guard<std::mutex> lock(*map_mutex);
-                    (*outstanding)[id] = {Clock::now(), qi};
+                    (*outstanding)[id] = {next_send, qi};
                 }
                 client->sendSearch(dataset.query(qi), dataset.dim,
                                    options.settings, id);
@@ -345,7 +350,7 @@ runOpenLoop(const LoadOptions &options)
                     static_cast<std::uint64_t>(
                         std::chrono::duration_cast<
                             std::chrono::nanoseconds>(Clock::now() -
-                                                      info.sent_at)
+                                                      info.due)
                             .count());
                 scoreResponse(options, response, info.query_index,
                               latency_ns, mine);

@@ -141,7 +141,11 @@ struct LoadReport
 /** N concurrent clients, one outstanding request each. */
 LoadReport runClosedLoop(const LoadOptions &options);
 
-/** Fixed-schedule senders at options.target_qps total. */
+/**
+ * Fixed-schedule senders at options.target_qps total. Latency is
+ * timed from each request's due time, so a sender that falls behind
+ * its schedule reports the backlog instead of hiding it.
+ */
 LoadReport runOpenLoop(const LoadOptions &options);
 
 } // namespace ann::serve

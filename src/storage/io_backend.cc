@@ -20,7 +20,6 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "common/thread_pool.hh"
 
 namespace ann::storage {
 
@@ -129,36 +128,6 @@ coalesceSectors(const std::vector<std::uint64_t> &sorted_unique,
 namespace {
 
 std::atomic<bool> &
-uringRegisterFlag()
-{
-    static std::atomic<bool> flag{envFlag("ANN_URING_REG", true)};
-    return flag;
-}
-
-} // namespace
-
-bool
-uringRegisterEnabled()
-{
-    return uringRegisterFlag().load(std::memory_order_relaxed);
-}
-
-void
-setUringRegisterEnabled(bool enabled)
-{
-    uringRegisterFlag().store(enabled, std::memory_order_relaxed);
-}
-
-namespace {
-
-std::atomic<bool> &
-asyncBeamFlag()
-{
-    static std::atomic<bool> flag{envFlag("ANN_ASYNC_BEAM", false)};
-    return flag;
-}
-
-std::atomic<bool> &
 ioPooledFlag()
 {
     static std::atomic<bool> flag{envFlag("ANN_IO_POOLED", false)};
@@ -166,18 +135,6 @@ ioPooledFlag()
 }
 
 } // namespace
-
-bool
-asyncBeamEnabled()
-{
-    return asyncBeamFlag().load(std::memory_order_relaxed);
-}
-
-void
-setAsyncBeamEnabled(bool enabled)
-{
-    asyncBeamFlag().store(enabled, std::memory_order_relaxed);
-}
 
 bool
 ioPooledEnabled()
@@ -327,10 +284,6 @@ AlignedBuffer::ensure(std::size_t bytes)
         ANN_CHECK(data_ != nullptr, "aligned_alloc of ", rounded,
                   " bytes failed");
         capacity_ = rounded;
-        // Fresh incarnation: backends holding a buffer registration
-        // for the old allocation must not serve fixed reads into it.
-        static std::atomic<std::uint64_t> next_id{1};
-        id_ = next_id.fetch_add(1, std::memory_order_relaxed);
     }
     return data_;
 }
@@ -495,8 +448,7 @@ struct FileAsyncState
  * The emulated async engine of the file backend: a worker pool
  * (shared by every queue the backend opens) runs the preads and posts
  * completions into each queue's box. Workers block in pread, not on
- * CPU, so overlap works even single-core — the async twin of the
- * sync path's queue-depth-sized pread pool.
+ * CPU, so overlap works even single-core.
  */
 class FileAsyncEngine
 {
@@ -561,12 +513,13 @@ class FileAsyncEngine
                 ok = false; // surfaced to the consumer on delivery
             }
             ioGaugeComplete(1);
-            {
-                std::lock_guard<std::mutex> lock(op.owner->mutex);
-                op.owner->ready.push_back(op.tag);
-                op.owner->outstanding--;
-                op.owner->failed = op.owner->failed || !ok;
-            }
+            // Notify under the lock: once outstanding reaches zero the
+            // queue may be destroyed, state included, the moment the
+            // lock is released.
+            std::lock_guard<std::mutex> lock(op.owner->mutex);
+            op.owner->ready.push_back(op.tag);
+            op.owner->outstanding--;
+            op.owner->failed = op.owner->failed || !ok;
             op.owner->cv.notify_all();
         }
     }
@@ -630,12 +583,11 @@ class FileAsyncQueue final : public IoQueue
 };
 
 /**
- * pread(2)-served node file. Batches overlap through a dedicated I/O
- * pool sized by queue depth, not core count: a thread blocked in
- * pread consumes no CPU, so overlap pays off even on one core (where
- * the CPU-sized shared pool would run everything inline). chunk=1
- * means each pool thread claims one request at a time, capping
- * in-flight reads at the pool size.
+ * pread(2)-served node file. Single reads (and every read at queue
+ * depth 1) run inline on the caller; multi-request batches and
+ * IoQueues share one FileAsyncEngine whose worker count is the queue
+ * depth, not the core count: a thread blocked in pread consumes no
+ * CPU, so overlap pays off even on one core.
  */
 class FileIoBackend final : public IoBackend
 {
@@ -663,25 +615,16 @@ class FileIoBackend final : public IoBackend
     {
         if (n == 0)
             return;
+        if (queueDepth_ > 1 && n > 1) {
+            drainBatch(*openQueue(), requests, n);
+            return;
+        }
         std::size_t sectors = 0;
         for (std::size_t i = 0; i < n; ++i)
             sectors += requests[i].count;
         ioGaugeSubmit(n, sectors);
-        if (queueDepth_ <= 1 || n == 1) {
-            for (std::size_t i = 0; i < n; ++i)
-                readOne(requests[i]);
-            ioGaugeComplete(n);
-            return;
-        }
-        std::call_once(poolOnce_, [this] {
-            ioPool_ = std::make_unique<ThreadPool>(
-                std::min<std::size_t>(queueDepth_, 16));
-        });
-        ioPool_->parallelFor(
-            n, 1, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i)
-                    readOne(requests[i]);
-            });
+        for (std::size_t i = 0; i < n; ++i)
+            fileReadOne(fd_, size_, simLatencyUs_, requests[i]);
         ioGaugeComplete(n);
     }
 
@@ -697,19 +640,11 @@ class FileIoBackend final : public IoBackend
     }
 
   private:
-    void
-    readOne(const IoRequest &req) const
-    {
-        fileReadOne(fd_, size_, simLatencyUs_, req);
-    }
-
     int fd_;
     std::uint64_t size_;
     unsigned queueDepth_;
     bool direct_;
     unsigned simLatencyUs_;
-    std::unique_ptr<ThreadPool> ioPool_;
-    std::once_flag poolOnce_;
     std::unique_ptr<FileAsyncEngine> asyncEngine_;
     std::once_flag engineOnce_;
 };
@@ -847,6 +782,19 @@ class FileIoSink final : public IoSink
 };
 
 } // namespace
+
+void
+drainBatch(IoQueue &queue, const IoRequest *requests, std::size_t n)
+{
+    // Tags are copied at submission, so the buffer doubles as the
+    // completion sink.
+    std::vector<std::uint64_t> tags(n);
+    for (std::size_t i = 0; i < n; ++i)
+        tags[i] = i;
+    queue.submitBatch(requests, n, tags.data());
+    for (std::size_t got = 0; got < n;)
+        got += queue.pollCompletions(tags.data(), n - got, 1);
+}
 
 std::unique_ptr<IoQueue>
 IoBackend::openQueue()

@@ -17,9 +17,9 @@
  *   memory  the seed behaviour: the node file stays a resident byte
  *           vector and readers get a zero-copy pointer (data()).
  *   file    the node file is spilled to disk (O_DIRECT when the
- *           filesystem supports it) and every batch is served by
- *           pread(2), overlapped through ann::ThreadPool when the
- *           queue depth allows.
+ *           filesystem supports it) and every read is served by
+ *           pread(2), overlapped on a queue-depth-sized worker pool
+ *           when a batch holds more than one request.
  *   uring   batched async submission through io_uring: one SQE per
  *           sector run, a queue-depth-sized submission window, and
  *           completion reaping without per-read syscalls. Built on
@@ -92,9 +92,9 @@ struct IoOptions
      * the file backend before each pread ($ANN_IO_SIM_LATENCY_US,
      * default 0 = off). Turns fast CI storage (tmpfs, NVMe with a hot
      * page cache) into a deterministic stand-in for a device with
-     * real access latency, so the async-vs-sync A/B gates measure
-     * pipelining instead of runner noise. Never changes the bytes
-     * read.
+     * real access latency, so benchmarks measure the pipelined
+     * beam against device round trips instead of runner noise.
+     * Never changes the bytes read.
      */
     unsigned sim_latency_us = 0;
     /**
@@ -165,42 +165,6 @@ void coalesceSectors(const std::vector<std::uint64_t> &sorted_unique,
                      std::vector<IoRun> &runs);
 
 /**
- * A registration-eligible scratch region (the io_uring fast path
- * pre-registers it with IORING_REGISTER_BUFFERS and issues
- * READ_FIXED). @ref id is a generation tag: AlignedBuffer bumps it on
- * every reallocation, so a backend holding a registration for an old
- * incarnation of the buffer detects the mismatch and re-registers
- * instead of reading through a stale mapping. id 0 means "never
- * register" (no buffer, or an unmanaged pointer).
- */
-struct IoRegion
-{
-    std::uint8_t *base = nullptr;
-    std::size_t bytes = 0;
-    std::uint64_t id = 0;
-};
-
-/**
- * $ANN_URING_REG (default on): lets the uring backend serve
- * region-hinted batches with registered buffers and a fixed file.
- * Off, every read goes through the plain READ path. Toggling never
- * changes the bytes read — only the submission mechanics.
- */
-bool uringRegisterEnabled();
-void setUringRegisterEnabled(bool enabled);
-
-/**
- * $ANN_ASYNC_BEAM (default off): DiskANN/SPANN beam search runs its
- * per-hop sector fetches through the submit/poll IoQueue API instead
- * of the blocking readBatch() barrier — node records are scored as
- * their sectors complete and the likely next-hop frontier is read
- * speculatively. Bit-identical to the synchronous path by
- * construction (in-order consumption); only the I/O overlap changes.
- */
-bool asyncBeamEnabled();
-void setAsyncBeamEnabled(bool enabled);
-
-/**
  * $ANN_IO_POOLED (default off): IoQueues opened on the uring backend
  * share one process-wide submission ring per backend instead of one
  * ring per queue, so the per-query beam submissions of a micro-batch
@@ -215,7 +179,8 @@ void setIoPooledEnabled(bool enabled);
  * deliver completions in an adversarial order — descending tag, and
  * never more than half of what is ready per poll — instead of
  * arrival order. Exercises the completion-order-independence
- * contract of the async beam search; never changes the bytes read.
+ * contract of the pipelined beam search; never changes the bytes
+ * read.
  */
 bool asyncShuffleDelivery();
 void setAsyncShuffleDelivery(bool enabled);
@@ -319,21 +284,6 @@ class IoBackend
     virtual void readBatch(const IoRequest *requests, std::size_t n) = 0;
 
     /**
-     * readBatch() with a destination-region hint: the caller promises
-     * every request's dest lies inside @p region. Backends with a
-     * registered-buffer fast path (uring) pre-register the region and
-     * issue fixed-buffer reads; the base implementation ignores the
-     * hint, so callers can pass it unconditionally.
-     */
-    virtual void
-    readBatch(const IoRequest *requests, std::size_t n,
-              const IoRegion &region)
-    {
-        (void)region;
-        readBatch(requests, n);
-    }
-
-    /**
      * Open an async read handle (see IoQueue). The base implementation
      * emulates one over readBatch() — submitted reads complete before
      * submitBatch() returns — so every backend supports the API; the
@@ -384,22 +334,21 @@ class AlignedBuffer
     std::uint8_t *ensure(std::size_t bytes);
     std::uint8_t *data() { return data_; }
 
-    /**
-     * Registration identity of the current allocation (id bumps on
-     * every reallocation; {nullptr, 0, 0} before the first ensure()).
-     */
-    IoRegion region() const { return {data_, capacity_, id_}; }
-
   private:
     std::uint8_t *data_ = nullptr;
     std::size_t capacity_ = 0;
-    std::uint64_t id_ = 0;
 };
 
 /// @cond internal — shared between io_backend.cc and uring_backend.cc
 /** pread(2) until @p len bytes land; @return false on error/EOF. */
 bool ioPreadFull(int fd, std::uint8_t *dst, std::size_t len,
                  std::uint64_t offset);
+/**
+ * Submit @p n reads on @p queue and reap all of them: the blocking
+ * readBatch() of the file and uring backends, served by their own
+ * async engines. Throws what the queue throws (read failures).
+ */
+void drainBatch(IoQueue &queue, const IoRequest *requests, std::size_t n);
 /** nullptr when io_uring is compiled out or fails at runtime. */
 std::unique_ptr<IoBackend> makeUringBackend(int fd, std::uint64_t size,
                                             unsigned queue_depth,

@@ -188,19 +188,6 @@ SectorCache::lookup(std::uint64_t sector, std::uint8_t *dest)
     return false;
 }
 
-bool
-SectorCache::probe(std::uint64_t sector) const
-{
-    if (!warmIndex_.empty() && warmIndex_.count(sector))
-        return true;
-    if (shards_.empty())
-        return false;
-    const Shard &shard =
-        *shards_[mixSector(sector) % shards_.size()];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.map.count(sector) != 0;
-}
-
 FetchClaim
 SectorCache::beginFetch(std::uint64_t sector, std::uint8_t *dest)
 {
@@ -284,7 +271,7 @@ SectorCache::waitFetchFor(std::uint64_t sector, std::uint8_t *dest,
         // An attached sharer keeps the entry alive; absence means the
         // contract was broken upstream.
         ANN_ASSERT(it != flights_.end(),
-                   "waitFetch without a Shared claim");
+                   "waitFetchFor without a Shared claim");
         Flight &flight = it->second;
         if (flight.done) {
             std::memcpy(dest, flight.data.data(), kIoSectorBytes);
@@ -308,16 +295,6 @@ SectorCache::waitFetchFor(std::uint64_t sector, std::uint8_t *dest,
             if (!again->second.done && !again->second.cancelled)
                 return FetchStatus::Timeout;
         }
-    }
-}
-
-FetchStatus
-SectorCache::waitFetch(std::uint64_t sector, std::uint8_t *dest)
-{
-    for (;;) {
-        const FetchStatus status = waitFetchFor(sector, dest, 1000);
-        if (status != FetchStatus::Timeout)
-            return status;
     }
 }
 

@@ -116,7 +116,7 @@ enum class FetchClaim
     /** Caller owns the read: fetch it, then publishFetch() (or
      *  cancelFetch() on any failure path). */
     Owner,
-    /** Another query is already reading it: waitFetch*() for the
+    /** Another query is already reading it: waitFetchFor() the
      *  shared completion. */
     Shared,
     /** An in-flight read completed between lookup() and claim: the
@@ -155,12 +155,6 @@ class SectorCache
     bool lookup(std::uint64_t sector, std::uint8_t *dest);
 
     /**
-     * Containment check without copying, stats, or ref-bit refresh —
-     * for speculative-read planning (skip sectors already resident).
-     */
-    bool probe(std::uint64_t sector) const;
-
-    /**
      * Single-flight claim on a sector that just missed lookup().
      * FetchClaim::Owner makes the caller responsible for reading the
      * sector and then calling publishFetch() — on *every* path,
@@ -195,9 +189,6 @@ class SectorCache
      */
     FetchStatus waitFetchFor(std::uint64_t sector, std::uint8_t *dest,
                              std::uint32_t micros);
-
-    /** waitFetchFor() without a deadline (sync beam path). */
-    FetchStatus waitFetch(std::uint64_t sector, std::uint8_t *dest);
 
     /**
      * Admit a completed read. No-op when the sector already sits in

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/logging.hh"
 
 #if defined(ANN_HAVE_LIBURING)
 #include <liburing.h>
@@ -37,7 +36,6 @@
 #include <linux/io_uring.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -69,97 +67,6 @@ class UringQueue
     {
         inited_ = io_uring_queue_init(entries, &ring_, 0) == 0;
         return inited_;
-    }
-
-    /** Generation id of the buffer this ring has registered (0: none). */
-    std::uint64_t registeredRegion() const { return regionId_; }
-
-    /**
-     * Make @p region the ring's registered buffer 0, re-registering
-     * only when its generation id changed. @return false when
-     * registration is unavailable (e.g. RLIMIT_MEMLOCK); the failed id
-     * is remembered so the syscall is not retried every batch.
-     */
-    bool
-    ensureBuffers(const IoRegion &region)
-    {
-        if (regionId_ == region.id)
-            return true;
-        if (failedRegionId_ == region.id)
-            return false;
-        if (regionId_ != 0)
-            io_uring_unregister_buffers(&ring_);
-        regionId_ = 0;
-        iovec iov{region.base, region.bytes};
-        if (io_uring_register_buffers(&ring_, &iov, 1) != 0) {
-            failedRegionId_ = region.id;
-            return false;
-        }
-        regionId_ = region.id;
-        return true;
-    }
-
-    /** Register @p fd as fixed file 0 (idempotent per ring). */
-    bool
-    ensureFiles(int fd)
-    {
-        if (fileFd_ == fd)
-            return true;
-        if (filesFailed_)
-            return false;
-        if (fileFd_ >= 0)
-            io_uring_unregister_files(&ring_);
-        fileFd_ = -1;
-        if (io_uring_register_files(&ring_, &fd, 1) != 0) {
-            filesFailed_ = true;
-            return false;
-        }
-        fileFd_ = fd;
-        return true;
-    }
-
-    /**
-     * Submit requests [begin, begin + count) of @p reqs against @p fd
-     * as one batch and reap all completions. With @p fixed_buf /
-     * @p fixed_file the SQEs reference the pre-registered buffer and
-     * file (READ_FIXED + IOSQE_FIXED_FILE) — no per-read page pinning
-     * or fd refcounting in the kernel. @return false on a ring
-     * failure (caller falls back to pread).
-     */
-    bool
-    submitAndReap(int fd, const IoRequest *reqs, std::size_t begin,
-                  std::size_t count, bool fixed_buf, bool fixed_file)
-    {
-        for (std::size_t i = 0; i < count; ++i) {
-            io_uring_sqe *sqe = io_uring_get_sqe(&ring_);
-            if (!sqe)
-                return false;
-            const IoRequest &req = reqs[begin + i];
-            const unsigned len =
-                req.count * static_cast<unsigned>(kIoSectorBytes);
-            const std::uint64_t off = req.sector * kIoSectorBytes;
-            const int sqe_fd = fixed_file ? 0 : fd;
-            if (fixed_buf)
-                io_uring_prep_read_fixed(sqe, sqe_fd, req.dest, len,
-                                         off, 0);
-            else
-                io_uring_prep_read(sqe, sqe_fd, req.dest, len, off);
-            if (fixed_file)
-                sqe->flags |= IOSQE_FIXED_FILE;
-            sqe->user_data = begin + i;
-        }
-        if (io_uring_submit_and_wait(&ring_,
-                                     static_cast<unsigned>(count)) < 0)
-            return false;
-        bool ok = true;
-        for (std::size_t i = 0; i < count; ++i) {
-            io_uring_cqe *cqe = nullptr;
-            if (io_uring_wait_cqe(&ring_, &cqe) < 0)
-                return false;
-            ok = completeOne(fd, reqs, cqe->user_data, cqe->res) && ok;
-            io_uring_cqe_seen(&ring_, cqe);
-        }
-        return ok;
     }
 
     /**
@@ -218,29 +125,8 @@ class UringQueue
     }
 
   private:
-    static bool
-    completeOne(int fd, const IoRequest *reqs, std::uint64_t index,
-                int res)
-    {
-        const IoRequest &req = reqs[index];
-        const std::size_t want = req.count * kIoSectorBytes;
-        if (res == static_cast<int>(want))
-            return true;
-        if (res < 0)
-            return false;
-        // Short read (legal, just rare on regular files): finish it.
-        return ioPreadFull(fd, req.dest + res,
-                           want - static_cast<std::size_t>(res),
-                           req.sector * kIoSectorBytes +
-                               static_cast<std::uint64_t>(res));
-    }
-
     io_uring ring_{};
     bool inited_ = false;
-    std::uint64_t regionId_ = 0;
-    std::uint64_t failedRegionId_ = 0;
-    int fileFd_ = -1;
-    bool filesFailed_ = false;
 };
 
 #else // ANN_HAVE_IO_URING_SYSCALL
@@ -259,14 +145,6 @@ sysIoUringEnter(int ring_fd, unsigned to_submit, unsigned min_complete,
     return static_cast<int>(::syscall(__NR_io_uring_enter, ring_fd,
                                       to_submit, min_complete, flags,
                                       nullptr, 0));
-}
-
-int
-sysIoUringRegister(int ring_fd, unsigned opcode, const void *arg,
-                   unsigned nr_args)
-{
-    return static_cast<int>(::syscall(__NR_io_uring_register, ring_fd,
-                                      opcode, arg, nr_args));
 }
 
 /**
@@ -346,128 +224,6 @@ class UringQueue
         return true;
     }
 
-    /** Generation id of the buffer this ring has registered (0: none). */
-    std::uint64_t registeredRegion() const { return regionId_; }
-
-    /**
-     * Make @p region the ring's registered buffer 0, re-registering
-     * only when its generation id changed. @return false when
-     * registration is unavailable (e.g. RLIMIT_MEMLOCK); the failed id
-     * is remembered so the syscall is not retried every batch.
-     */
-    bool
-    ensureBuffers(const IoRegion &region)
-    {
-        if (regionId_ == region.id)
-            return true;
-        if (failedRegionId_ == region.id)
-            return false;
-        if (regionId_ != 0)
-            sysIoUringRegister(ringFd_, IORING_UNREGISTER_BUFFERS,
-                               nullptr, 0);
-        regionId_ = 0;
-        iovec iov{region.base, region.bytes};
-        if (sysIoUringRegister(ringFd_, IORING_REGISTER_BUFFERS, &iov,
-                               1) != 0) {
-            failedRegionId_ = region.id;
-            return false;
-        }
-        regionId_ = region.id;
-        return true;
-    }
-
-    /** Register @p fd as fixed file 0 (idempotent per ring). */
-    bool
-    ensureFiles(int fd)
-    {
-        if (fileFd_ == fd)
-            return true;
-        if (filesFailed_)
-            return false;
-        if (fileFd_ >= 0)
-            sysIoUringRegister(ringFd_, IORING_UNREGISTER_FILES,
-                               nullptr, 0);
-        fileFd_ = -1;
-        if (sysIoUringRegister(ringFd_, IORING_REGISTER_FILES, &fd,
-                               1) != 0) {
-            filesFailed_ = true;
-            return false;
-        }
-        fileFd_ = fd;
-        return true;
-    }
-
-    bool
-    submitAndReap(int fd, const IoRequest *reqs, std::size_t begin,
-                  std::size_t count, bool fixed_buf, bool fixed_file)
-    {
-        // Fill SQEs, then publish them with one release-store on the
-        // tail index.
-        const unsigned mask = *sqMask_;
-        const unsigned tail = *sqTail_; // only this side writes it
-        for (std::size_t i = 0; i < count; ++i) {
-            const unsigned idx =
-                (tail + static_cast<unsigned>(i)) & mask;
-            io_uring_sqe *sqe = &sqes_[idx];
-            std::memset(sqe, 0, sizeof(*sqe));
-            const IoRequest &req = reqs[begin + i];
-            sqe->opcode = static_cast<std::uint8_t>(
-                fixed_buf ? IORING_OP_READ_FIXED : IORING_OP_READ);
-            sqe->fd = fixed_file ? 0 : fd;
-            if (fixed_file)
-                sqe->flags |= IOSQE_FIXED_FILE;
-            sqe->addr = reinterpret_cast<std::uint64_t>(req.dest);
-            sqe->len =
-                req.count * static_cast<unsigned>(kIoSectorBytes);
-            sqe->off = req.sector * kIoSectorBytes;
-            sqe->buf_index = 0; // registered buffer 0 (READ_FIXED)
-            sqe->user_data = begin + i;
-            sqArray_[idx] = idx;
-        }
-        __atomic_store_n(sqTail_, tail + static_cast<unsigned>(count),
-                         __ATOMIC_RELEASE);
-
-        // One syscall submits the whole window and waits for it.
-        int ret;
-        do {
-            ret = sysIoUringEnter(ringFd_,
-                                  static_cast<unsigned>(count),
-                                  static_cast<unsigned>(count),
-                                  IORING_ENTER_GETEVENTS);
-        } while (ret < 0 && errno == EINTR);
-        if (ret < 0)
-            return false;
-
-        // Reap every completion of the window.
-        bool ok = true;
-        std::size_t reaped = 0;
-        unsigned head = *cqHead_;
-        while (reaped < count) {
-            const unsigned ctail =
-                __atomic_load_n(cqTail_, __ATOMIC_ACQUIRE);
-            if (head == ctail) {
-                do {
-                    ret = sysIoUringEnter(
-                        ringFd_, 0,
-                        static_cast<unsigned>(count - reaped),
-                        IORING_ENTER_GETEVENTS);
-                } while (ret < 0 && errno == EINTR);
-                if (ret < 0)
-                    return false;
-                continue;
-            }
-            while (head != ctail && reaped < count) {
-                const io_uring_cqe *cqe = &cqes_[head & *cqMask_];
-                ok = completeOne(fd, reqs, cqe->user_data, cqe->res) &&
-                     ok;
-                ++head;
-                ++reaped;
-            }
-            __atomic_store_n(cqHead_, head, __ATOMIC_RELEASE);
-        }
-        return ok;
-    }
-
     /**
      * Stage @p count plain READ SQEs (user_data = slots[i]) and
      * submit them WITHOUT waiting — the async half of the submit/poll
@@ -544,22 +300,6 @@ class UringQueue
     }
 
   private:
-    static bool
-    completeOne(int fd, const IoRequest *reqs, std::uint64_t index,
-                int res)
-    {
-        const IoRequest &req = reqs[index];
-        const std::size_t want = req.count * kIoSectorBytes;
-        if (res == static_cast<int>(want))
-            return true;
-        if (res < 0)
-            return false;
-        return ioPreadFull(fd, req.dest + res,
-                           want - static_cast<std::size_t>(res),
-                           req.sector * kIoSectorBytes +
-                               static_cast<std::uint64_t>(res));
-    }
-
     void
     destroy()
     {
@@ -576,10 +316,6 @@ class UringQueue
     }
 
     int ringFd_ = -1;
-    std::uint64_t regionId_ = 0;
-    std::uint64_t failedRegionId_ = 0;
-    int fileFd_ = -1;
-    bool filesFailed_ = false;
     void *sqMem_ = nullptr;
     void *cqMem_ = nullptr;
     void *sqeMem_ = nullptr;
@@ -627,116 +363,18 @@ class UringIoBackend final : public IoBackend
     std::uint64_t sizeBytes() const override { return size_; }
     bool directIo() const override { return direct_; }
 
-    void
-    readBatch(const IoRequest *requests, std::size_t n) override
-    {
-        readBatchImpl(requests, n, IoRegion{});
-    }
-
-    void
-    readBatch(const IoRequest *requests, std::size_t n,
-              const IoRegion &region) override
-    {
-        // The registered fast path only applies when every dest
-        // really lies inside the advertised region; anything else
-        // (including the toggle being off) takes the plain READ path.
-        IoRegion effective = region;
-        if (!uringRegisterEnabled() || region.id == 0 ||
-            region.base == nullptr) {
-            effective = IoRegion{};
-        } else {
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint8_t *dest = requests[i].dest;
-                const std::size_t bytes =
-                    requests[i].count * kIoSectorBytes;
-                if (dest < region.base ||
-                    dest + bytes > region.base + region.bytes) {
-                    effective = IoRegion{};
-                    break;
-                }
-            }
-        }
-        readBatchImpl(requests, n, effective);
-    }
+    void readBatch(const IoRequest *requests, std::size_t n) override;
 
   private:
-    void
-    readBatchImpl(const IoRequest *requests, std::size_t n,
-                  const IoRegion &region)
-    {
-        if (n == 0)
-            return;
-        std::size_t sectors = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            ANN_CHECK(requests[i].sector * kIoSectorBytes +
-                              requests[i].count * kIoSectorBytes <=
-                          size_,
-                      "read past end of node file");
-            sectors += requests[i].count;
-        }
-        ioGaugeSubmit(n, sectors);
-
-        std::size_t completed = 0;
-        std::unique_ptr<UringQueue> queue = acquire(region.id);
-        if (queue) {
-            // Registration is best-effort per feature: fixed file and
-            // fixed buffer degrade independently to their plain forms.
-            const bool fixed_file =
-                region.id != 0 && queue->ensureFiles(fd_);
-            const bool fixed_buf =
-                region.id != 0 && queue->ensureBuffers(region);
-            bool ok = true;
-            for (std::size_t done = 0; done < n && ok;) {
-                const std::size_t window =
-                    std::min<std::size_t>(queueDepth_, n - done);
-                ok = queue->submitAndReap(fd_, requests, done, window,
-                                          fixed_buf, fixed_file);
-                done += window;
-                if (ok) {
-                    ioGaugeComplete(window);
-                    completed += window;
-                }
-            }
-            release(std::move(queue));
-            if (ok)
-                return;
-            warnFallback();
-        }
-        // Ring creation or submission failed: serve the batch with
-        // plain preads so callers never observe the difference.
-        for (std::size_t i = 0; i < n; ++i)
-            ANN_CHECK(
-                ioPreadFull(fd_, requests[i].dest,
-                            requests[i].count * kIoSectorBytes,
-                            requests[i].sector * kIoSectorBytes),
-                "pread fallback failed on node file");
-        ioGaugeComplete(n - completed);
-    }
-
-    /**
-     * Hand out an idle ring, preferring one whose registered buffer
-     * already matches @p prefer_region — steady-state threads get
-     * "their" ring back and pay zero registration syscalls per batch.
-     */
+    /** Hand out an idle ring, or create one (nullptr on failure). */
     std::unique_ptr<UringQueue>
-    acquire(std::uint64_t prefer_region)
+    acquire()
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (!idle_.empty()) {
-                std::size_t pick = idle_.size() - 1;
-                if (prefer_region != 0) {
-                    for (std::size_t i = idle_.size(); i-- > 0;) {
-                        if (idle_[i]->registeredRegion() ==
-                            prefer_region) {
-                            pick = i;
-                            break;
-                        }
-                    }
-                }
-                auto queue = std::move(idle_[pick]);
-                idle_.erase(idle_.begin() +
-                            static_cast<std::ptrdiff_t>(pick));
+                auto queue = std::move(idle_.back());
+                idle_.pop_back();
                 return queue;
             }
         }
@@ -753,16 +391,6 @@ class UringIoBackend final : public IoBackend
         idle_.push_back(std::move(queue));
     }
 
-    static void
-    warnFallback()
-    {
-        static std::once_flag warned;
-        std::call_once(warned, [] {
-            logWarn("io_uring submission failed at runtime; serving "
-                    "reads with pread instead");
-        });
-    }
-
     friend class UringAsyncQueue;
     friend class SharedUringRing;
 
@@ -775,6 +403,32 @@ class UringIoBackend final : public IoBackend
     std::once_flag sharedOnce_;
     std::unique_ptr<SharedUringRing> shared_;
 };
+
+/** Range-check a batch against the node file and count it into the
+ *  I/O gauge as submitted. */
+void
+gaugeSubmitChecked(std::uint64_t size, const IoRequest *requests,
+                   std::size_t n)
+{
+    std::size_t sectors = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ANN_CHECK(requests[i].sector * kIoSectorBytes +
+                          requests[i].count * kIoSectorBytes <=
+                      size,
+                  "read past end of node file");
+        sectors += requests[i].count;
+    }
+    ioGaugeSubmit(n, sectors);
+}
+
+/** Serve one read with pread, the fallback when no ring takes it.
+ *  @return false on error/EOF. */
+bool
+preadFallback(int fd, const IoRequest &req)
+{
+    return ioPreadFull(fd, req.dest, req.count * kIoSectorBytes,
+                       req.sector * kIoSectorBytes);
+}
 
 /** Fix up one raw CQE result: full reads pass through, short reads
  *  are completed with pread, negative res is a hard error. */
@@ -798,7 +452,8 @@ fixShortRead(int fd, const IoRequest &req, int res)
  * so registered buffers do not apply), completions reaped lazily.
  * In-flight reads are capped at the ring's entry count via a slot
  * table; user_data carries the slot index so short reads can be
- * completed against the original request.
+ * completed against the original request. Without a ring (none could
+ * be set up) every read is served with pread at submission.
  */
 class UringAsyncQueue final : public IoQueue
 {
@@ -820,7 +475,7 @@ class UringAsyncQueue final : public IoQueue
     {
         try {
             while (inflight_ > 0)
-                reapSome(1);
+                reapSome(1); // failed reads are the caller's business
         } catch (...) {
             // Ring failure while draining: the ring is destroyed
             // below, which cancels whatever was still in flight.
@@ -834,19 +489,11 @@ class UringAsyncQueue final : public IoQueue
     submitBatch(const IoRequest *requests, std::size_t n,
                 const std::uint64_t *tags) override
     {
-        std::size_t sectors = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            ANN_CHECK(requests[i].sector * kIoSectorBytes +
-                              requests[i].count * kIoSectorBytes <=
-                          backend_.size_,
-                      "read past end of node file");
-            sectors += requests[i].count;
-        }
-        ioGaugeSubmit(n, sectors);
+        gaugeSubmitChecked(backend_.size_, requests, n);
         std::size_t i = 0;
         while (i < n) {
             while (inflight_ >= cap_)
-                reapSome(1);
+                reapChecked(1);
             const std::size_t chunk =
                 std::min<std::size_t>(cap_ - inflight_, n - i);
             chunkReqs_.clear();
@@ -858,24 +505,25 @@ class UringAsyncQueue final : public IoQueue
                 chunkReqs_.push_back(requests[i + j]);
                 chunkSlots_.push_back(slot);
             }
-            if (ring_->submitAsync(backend_.fd_, chunkReqs_.data(),
+            if (ring_ &&
+                ring_->submitAsync(backend_.fd_, chunkReqs_.data(),
                                    chunkSlots_.data(), chunk)) {
                 inflight_ += chunk;
             } else {
-                // Submission failed: serve this chunk with preads so
-                // the caller never observes the difference.
+                // No ring, or submission failed: serve this chunk
+                // with preads so the caller never observes the
+                // difference.
+                bool ok = true;
                 for (std::size_t j = 0; j < chunk; ++j) {
                     const std::uint32_t slot = chunkSlots_[j];
-                    const IoRequest &req = slots_[slot].req;
-                    ANN_CHECK(
-                        ioPreadFull(backend_.fd_, req.dest,
-                                    req.count * kIoSectorBytes,
-                                    req.sector * kIoSectorBytes),
-                        "pread fallback failed on node file");
-                    ready_.push_back(slots_[slot].tag);
+                    if (preadFallback(backend_.fd_, slots_[slot].req))
+                        ready_.push_back(slots_[slot].tag);
+                    else
+                        ok = false;
                     freeSlots_.push_back(slot);
                     ioGaugeComplete(1);
                 }
+                ANN_CHECK(ok, "pread fallback failed on node file");
             }
             i += chunk;
         }
@@ -885,8 +533,16 @@ class UringAsyncQueue final : public IoQueue
     pollCompletions(std::uint64_t *out, std::size_t max,
                     std::size_t min_complete) override
     {
-        while (ready_.size() < min_complete && inflight_ > 0)
-            reapSome(min_complete - ready_.size());
+        // Even a pure poll (min_complete 0) harvests CQEs that have
+        // landed: a query polling only that way while it waits on
+        // another query's flight would otherwise never see its own
+        // reads complete, and two such queries starve each other.
+        do {
+            if (inflight_ > 0)
+                reapChecked(ready_.size() < min_complete
+                                ? min_complete - ready_.size()
+                                : 0);
+        } while (ready_.size() < min_complete && inflight_ > 0);
         const std::size_t take = std::min(max, ready_.size());
         for (std::size_t i = 0; i < take; ++i)
             out[i] = ready_[i];
@@ -902,7 +558,16 @@ class UringAsyncQueue final : public IoQueue
         std::uint64_t tag = 0;
     };
 
-    void
+    /**
+     * Reap ≥ @p min_complete CQEs (bounded by what is in flight) and
+     * finish every one of them, a failed read included: its slot is
+     * freed and it leaves the in-flight count, only its tag is never
+     * delivered. @return false if any reaped read failed. Every
+     * reaped CQE is accounted before this returns, so a failure can
+     * never leave the destructor waiting on completions that have
+     * already landed.
+     */
+    bool
     reapSome(std::size_t min_complete)
     {
         const std::size_t got = ring_->reapAsync(
@@ -910,17 +575,26 @@ class UringAsyncQueue final : public IoQueue
             std::min<std::size_t>(min_complete, inflight_));
         ANN_CHECK(got != static_cast<std::size_t>(-1),
                   "io_uring completion reap failed");
+        bool ok = true;
         for (std::size_t k = 0; k < got; ++k) {
             const std::uint32_t slot = reapSlots_[k];
             const Slot &s = slots_[slot];
-            ANN_CHECK(
-                fixShortRead(backend_.fd_, s.req, reapRes_[k]),
-                "io_uring async read failed on node file");
-            ready_.push_back(s.tag);
+            if (fixShortRead(backend_.fd_, s.req, reapRes_[k]))
+                ready_.push_back(s.tag);
+            else
+                ok = false;
             freeSlots_.push_back(slot);
             ioGaugeComplete(1);
             --inflight_;
         }
+        return ok;
+    }
+
+    void
+    reapChecked(std::size_t min_complete)
+    {
+        ANN_CHECK(reapSome(min_complete),
+                  "io_uring async read failed on node file");
     }
 
     UringIoBackend &backend_;
@@ -953,6 +627,8 @@ class SharedUringRing
         std::condition_variable cv;
         std::vector<std::uint64_t> ready;
         std::size_t outstanding = 0;
+        /** A read of this box failed; its next poll throws. */
+        bool failed = false;
     };
 
     SharedUringRing(UringIoBackend &backend, std::uint32_t capacity)
@@ -976,15 +652,7 @@ class SharedUringRing
     submit(Box *box, const IoRequest *requests, std::size_t n,
            const std::uint64_t *tags)
     {
-        std::size_t sectors = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            ANN_CHECK(requests[i].sector * kIoSectorBytes +
-                              requests[i].count * kIoSectorBytes <=
-                          backend_.size_,
-                      "read past end of node file");
-            sectors += requests[i].count;
-        }
-        ioGaugeSubmit(n, sectors);
+        gaugeSubmitChecked(backend_.size_, requests, n);
         {
             std::lock_guard<std::mutex> bl(box->mutex);
             box->outstanding += n;
@@ -1012,13 +680,8 @@ class SharedUringRing
             } else {
                 for (std::size_t j = 0; j < chunk; ++j) {
                     const std::uint32_t slot = chunkSlots_[j];
-                    const IoRequest &req = slots_[slot].req;
-                    ANN_CHECK(
-                        ioPreadFull(backend_.fd_, req.dest,
-                                    req.count * kIoSectorBytes,
-                                    req.sector * kIoSectorBytes),
-                        "pread fallback failed on node file");
-                    finishSlot(slot);
+                    finishSlot(slot, preadFallback(backend_.fd_,
+                                                   slots_[slot].req));
                 }
             }
             i += chunk;
@@ -1029,9 +692,20 @@ class SharedUringRing
     poll(Box *box, std::uint64_t *out, std::size_t max,
          std::size_t min_complete)
     {
+        if (min_complete == 0) {
+            // A pure poll still harvests landed CQEs (see
+            // UringAsyncQueue::pollCompletions); a busy ring means
+            // another thread is reaping and dispatching already.
+            std::unique_lock<std::mutex> rl(ringMutex_,
+                                            std::try_to_lock);
+            if (rl.owns_lock() && inflight_ > 0)
+                reapLocked(0);
+        }
         for (;;) {
             {
                 std::unique_lock<std::mutex> bl(box->mutex);
+                ANN_CHECK(!box->failed,
+                          "io_uring async read failed on node file");
                 if (box->ready.size() >= min_complete ||
                     box->outstanding == 0) {
                     const std::size_t take =
@@ -1097,24 +771,32 @@ class SharedUringRing
         Box *box = nullptr;
     };
 
-    /** ringMutex_ held. Publish one completed slot to its box. */
+    /** ringMutex_ held. Publish one completed slot to its box; a
+     *  failed read marks the box instead of delivering its tag. */
     void
-    finishSlot(std::uint32_t slot)
+    finishSlot(std::uint32_t slot, bool ok)
     {
         Slot &s = slots_[slot];
         Box *box = s.box;
         {
+            // Notify under the lock: a drained box may be destroyed
+            // the moment it is released.
             std::lock_guard<std::mutex> bl(box->mutex);
-            box->ready.push_back(s.tag);
+            if (ok)
+                box->ready.push_back(s.tag);
+            else
+                box->failed = true;
             --box->outstanding;
+            box->cv.notify_all();
         }
-        box->cv.notify_all();
         freeSlots_.push_back(slot);
         ioGaugeComplete(1);
     }
 
     /** ringMutex_ held. Reap ≥ @p min_complete CQEs (bounded by what
-     *  is in flight) and dispatch them to their owners. */
+     *  is in flight) and dispatch them to their owners. A failed read
+     *  is the owner's error, not the reaper's: it is finished like any
+     *  other and surfaces on the owning box's next poll. */
     void
     reapLocked(std::size_t min_complete)
     {
@@ -1125,10 +807,9 @@ class SharedUringRing
                   "io_uring completion reap failed");
         for (std::size_t k = 0; k < got; ++k) {
             const std::uint32_t slot = reapSlots_[k];
-            ANN_CHECK(fixShortRead(backend_.fd_, slots_[slot].req,
-                                   reapRes_[k]),
-                      "io_uring async read failed on node file");
-            finishSlot(slot);
+            finishSlot(slot, fixShortRead(backend_.fd_,
+                                          slots_[slot].req,
+                                          reapRes_[k]));
             --inflight_;
         }
     }
@@ -1203,10 +884,17 @@ UringIoBackend::openQueue()
         if (shared_)
             return std::make_unique<PooledUringQueue>(*shared_);
     }
-    std::unique_ptr<UringQueue> ring = acquire(0);
-    if (!ring)
-        return IoBackend::openQueue(); // emulated over readBatch()
-    return std::make_unique<UringAsyncQueue>(*this, std::move(ring));
+    // A null ring (none could be set up) serves reads with pread.
+    return std::make_unique<UringAsyncQueue>(*this, acquire());
+}
+
+void
+UringIoBackend::readBatch(const IoRequest *requests, std::size_t n)
+{
+    if (n == 0)
+        return;
+    UringAsyncQueue queue(*this, acquire());
+    drainBatch(queue, requests, n);
 }
 
 } // namespace

@@ -1,26 +1,38 @@
 /**
  * @file
  * Tests for the async submit/poll I/O pipeline: the IoQueue contract
- * on the emulated backends, the SectorCache single-flight layer, and
- * the headline invariant of $ANN_ASYNC_BEAM — completion order must
- * never change a result bit or a recorded trace, even when an
- * adversarial queue delivers completions backwards and in dribbles.
+ * on the emulated backends, the SectorCache single-flight layer, the
+ * SectorReader's error unwind, and the headline invariant of the
+ * pipelined beam search — completion order must never change a
+ * result bit or a recorded trace, even when an adversarial queue
+ * delivers completions backwards and in dribbles.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include "common/error.hh"
 #include "common/rng.hh"
 #include "index/diskann_index.hh"
 #include "index/search_trace.hh"
 #include "index/spann_index.hh"
 #include "storage/io_backend.hh"
 #include "storage/node_cache.hh"
+#include "storage/sector_reader.hh"
 #include "test_util.hh"
 
 namespace ann {
@@ -43,12 +55,24 @@ struct ToggleGuard
 {
     ~ToggleGuard()
     {
-        storage::setAsyncBeamEnabled(false);
         storage::setAsyncShuffleDelivery(false);
         storage::setIoPooledEnabled(false);
         storage::setSingleFlightEnabled(true);
     }
 };
+
+/** Sharer-side wait without a deadline: retries the bounded wait. */
+storage::FetchStatus
+awaitFlight(storage::SectorCache &cache, std::uint64_t sector,
+            std::uint8_t *dest)
+{
+    for (;;) {
+        const storage::FetchStatus status =
+            cache.waitFetchFor(sector, dest, 1000);
+        if (status != storage::FetchStatus::Timeout)
+            return status;
+    }
+}
 
 std::vector<std::uint8_t>
 testImage(std::size_t sectors, std::uint64_t seed)
@@ -177,7 +201,7 @@ TEST(SingleFlightTest, SharerAttachesAndDedupes)
     ASSERT_EQ(cache.beginFetch(5, sharer_buf.data()),
               storage::FetchClaim::Shared);
     cache.publishFetch(5, bytes.data());
-    ASSERT_EQ(cache.waitFetch(5, sharer_buf.data()),
+    ASSERT_EQ(awaitFlight(cache, 5, sharer_buf.data()),
               storage::FetchStatus::Ready);
     EXPECT_EQ(std::memcmp(sharer_buf.data(), bytes.data(),
                           storage::kIoSectorBytes),
@@ -215,7 +239,7 @@ TEST(SingleFlightTest, LateSharerGetsCachedClaim)
     EXPECT_EQ(std::memcmp(late_buf.data(), bytes.data(),
                           storage::kIoSectorBytes),
               0);
-    EXPECT_EQ(cache.waitFetch(9, sharer_buf.data()),
+    EXPECT_EQ(awaitFlight(cache, 9, sharer_buf.data()),
               storage::FetchStatus::Ready);
     EXPECT_EQ(cache.stats().ios_deduped, 2u);
 }
@@ -234,7 +258,7 @@ TEST(SingleFlightTest, CancelWakesSharers)
     ASSERT_EQ(cache.beginFetch(3, sharer_buf.data()),
               storage::FetchClaim::Shared);
     cache.cancelFetch(3);
-    EXPECT_EQ(cache.waitFetch(3, sharer_buf.data()),
+    EXPECT_EQ(awaitFlight(cache, 3, sharer_buf.data()),
               storage::FetchStatus::Cancelled);
     EXPECT_EQ(cache.stats().ios_deduped, 0u);
     // The sector is claimable again after the cancellation drains.
@@ -305,14 +329,14 @@ TEST(SingleFlightTest, ConcurrentFlightsUnderMutation)
                     }
                     break;
                 case storage::FetchClaim::Shared:
-                    switch (cache.waitFetch(sector, buf.data())) {
+                    switch (awaitFlight(cache, sector, buf.data())) {
                     case storage::FetchStatus::Ready:
                         ASSERT_EQ(buf[0], bytes[0]);
                         break;
                     case storage::FetchStatus::Cancelled:
                         break; // a real caller would read it itself
                     case storage::FetchStatus::Timeout:
-                        FAIL() << "waitFetch returned Timeout";
+                        FAIL() << "awaitFlight returned Timeout";
                     }
                     break;
                 case storage::FetchClaim::Cached:
@@ -326,6 +350,215 @@ TEST(SingleFlightTest, ConcurrentFlightsUnderMutation)
         thread.join();
     const auto stats = cache.stats();
     EXPECT_EQ(stats.lookups, kThreads * kRounds);
+}
+
+// ------------------------------------------------ reader error unwind
+
+/**
+ * Node-file stand-in whose async queue fails the first @p failures
+ * reads covering @p fail_sector when they are reaped — a device error
+ * landing mid-hop — and serves every other read exactly. The blocking
+ * readBatch() (a sharer's own-read fallback) consults the same
+ * failure budget.
+ */
+class FailingBackend final : public storage::IoBackend
+{
+  public:
+    FailingBackend(std::vector<std::uint8_t> image,
+                   std::uint64_t fail_sector, int failures)
+        : image_(std::move(image)), failSector_(fail_sector),
+          failuresLeft_(failures)
+    {
+    }
+
+    storage::IoBackendKind
+    kind() const override
+    {
+        return storage::IoBackendKind::File;
+    }
+    std::uint64_t sizeBytes() const override { return image_.size(); }
+
+    void
+    readBatch(const storage::IoRequest *requests, std::size_t n) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            serve(requests[i]);
+    }
+
+    std::unique_ptr<storage::IoQueue> openQueue() override;
+
+    /** Copy @p req 's bytes, or throw the injected failure. */
+    void
+    serve(const storage::IoRequest &req)
+    {
+        if (req.sector <= failSector_ &&
+            failSector_ < req.sector + req.count &&
+            failuresLeft_.fetch_sub(1) > 0)
+            throw FatalError("injected read failure at sector " +
+                             std::to_string(failSector_));
+        std::memcpy(req.dest,
+                    image_.data() + req.sector * storage::kIoSectorBytes,
+                    req.count * storage::kIoSectorBytes);
+    }
+
+  private:
+    std::vector<std::uint8_t> image_;
+    std::uint64_t failSector_;
+    std::atomic<int> failuresLeft_;
+};
+
+/** Serves submitted reads when they are reaped, in submit order. */
+class FailingQueue final : public storage::IoQueue
+{
+  public:
+    explicit FailingQueue(FailingBackend &backend) : backend_(backend) {}
+
+    void
+    submitBatch(const storage::IoRequest *requests, std::size_t n,
+                const std::uint64_t *tags) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            pending_.push_back({requests[i], tags[i]});
+    }
+
+    std::size_t
+    pollCompletions(std::uint64_t *out, std::size_t max,
+                    std::size_t) override
+    {
+        std::size_t got = 0;
+        while (got < max && !pending_.empty()) {
+            const auto [req, tag] = pending_.front();
+            pending_.erase(pending_.begin());
+            backend_.serve(req);
+            out[got++] = tag;
+        }
+        return got;
+    }
+
+  private:
+    FailingBackend &backend_;
+    std::vector<std::pair<storage::IoRequest, std::uint64_t>> pending_;
+};
+
+std::unique_ptr<storage::IoQueue>
+FailingBackend::openQueue()
+{
+    return std::make_unique<FailingQueue>(*this);
+}
+
+storage::NodeCacheConfig
+readerCacheConfig()
+{
+    storage::NodeCacheConfig config;
+    config.capacity_bytes = 64 * storage::kIoSectorBytes;
+    return config;
+}
+
+/**
+ * The owner of a hop's reads fails mid-hop and unwinds; a reader
+ * attached to those sectors must not be stranded: the unwind cancels
+ * the claims and the sharer reads the bytes itself, bit-identical.
+ */
+TEST(SectorReaderTest, FailedOwnerReleasesAttachedReader)
+{
+    ToggleGuard guard;
+    const auto image = testImage(16, 21);
+    FailingBackend io(image, 5, 1);
+    storage::SectorCache cache(readerCacheConfig());
+    const std::vector<std::uint64_t> sectors{4, 5, 6};
+    constexpr std::size_t kBytes = 3 * storage::kIoSectorBytes;
+
+    storage::AlignedBuffer sharer_buf;
+    storage::SectorReader sharer(io, &cache);
+    {
+        storage::AlignedBuffer owner_buf;
+        storage::SectorReader owner(io, &cache);
+        owner.start(sectors.data(), sectors.size(),
+                    owner_buf.ensure(kBytes));
+        EXPECT_EQ(owner.submitted().size(), 1u);
+        sharer.start(sectors.data(), sectors.size(),
+                     sharer_buf.ensure(kBytes));
+        EXPECT_TRUE(sharer.submitted().empty()) << "all attached";
+        EXPECT_FALSE(sharer.ready(0, sectors.size()));
+        EXPECT_THROW(owner.drain(), FatalError);
+    }
+    sharer.drain();
+    EXPECT_EQ(std::memcmp(sharer_buf.data(),
+                          image.data() + 4 * storage::kIoSectorBytes,
+                          kBytes),
+              0);
+    // The sharer's own reads were admitted: a later reader hits.
+    const auto before = cache.stats();
+    storage::AlignedBuffer again_buf;
+    storage::SectorReader again(io, &cache);
+    again.start(sectors.data(), sectors.size(), again_buf.ensure(kBytes));
+    EXPECT_TRUE(again.ready(0, sectors.size()));
+    EXPECT_EQ((cache.stats() - before).hits, sectors.size());
+}
+
+/** When the sharer's own read fails too, it gets the typed error. */
+TEST(SectorReaderTest, FailedFallbackReadThrowsTypedError)
+{
+    ToggleGuard guard;
+    const auto image = testImage(16, 22);
+    FailingBackend io(image, 5, 2);
+    storage::SectorCache cache(readerCacheConfig());
+    const std::vector<std::uint64_t> sectors{5};
+
+    storage::AlignedBuffer sharer_buf;
+    storage::SectorReader sharer(io, &cache);
+    {
+        storage::AlignedBuffer owner_buf;
+        storage::SectorReader owner(io, &cache);
+        owner.start(sectors.data(), 1,
+                    owner_buf.ensure(storage::kIoSectorBytes));
+        sharer.start(sectors.data(), 1,
+                     sharer_buf.ensure(storage::kIoSectorBytes));
+        EXPECT_THROW(owner.drain(), FatalError);
+    }
+    EXPECT_THROW(sharer.drain(), FatalError);
+}
+
+/**
+ * TSan target: the sharer is already blocked in its bounded waits on
+ * another thread — owning some sectors of its own — when the owner
+ * fails. It must finish with the exact bytes, never hang or trip the
+ * stall assert.
+ */
+TEST(SectorReaderTest, ConcurrentSharerSurvivesOwnerFailure)
+{
+    ToggleGuard guard;
+    const auto image = testImage(16, 23);
+    FailingBackend io(image, 5, 1);
+    storage::SectorCache cache(readerCacheConfig());
+    const std::vector<std::uint64_t> owner_sectors{4, 5, 6};
+    const std::vector<std::uint64_t> sharer_sectors{5, 6, 7, 8};
+    constexpr std::size_t kBytes = 4 * storage::kIoSectorBytes;
+
+    storage::AlignedBuffer owner_buf;
+    storage::AlignedBuffer sharer_buf;
+    auto owner = std::make_unique<storage::SectorReader>(io, &cache);
+    owner->start(owner_sectors.data(), owner_sectors.size(),
+                 owner_buf.ensure(kBytes));
+    storage::SectorReader sharer(io, &cache);
+    sharer.start(sharer_sectors.data(), sharer_sectors.size(),
+                 sharer_buf.ensure(kBytes));
+    ASSERT_EQ(sharer.submitted().size(), 1u) << "owns 7..8 itself";
+
+    std::atomic<bool> finished{false};
+    std::thread waiter([&] {
+        sharer.drain();
+        finished.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_THROW(owner->drain(), FatalError);
+    owner.reset(); // unwind: cancels the failed claims
+    waiter.join();
+    EXPECT_TRUE(finished.load());
+    EXPECT_EQ(std::memcmp(sharer_buf.data(),
+                          image.data() + 5 * storage::kIoSectorBytes,
+                          kBytes),
+              0);
 }
 
 // --------------------------------------- completion-order independence
@@ -391,7 +624,6 @@ TEST_F(AsyncBeamFixture, ShuffledCompletionsAreBitIdentical)
     file_mode.node_cache.capacity_bytes =
         64 * storage::kIoSectorBytes;
     index_->setIoMode(file_mode);
-    storage::setAsyncBeamEnabled(true);
     storage::setAsyncShuffleDelivery(true);
 
     for (std::size_t q = 0; q < data_->num_queries; ++q) {
@@ -454,7 +686,6 @@ TEST_F(AsyncBeamFixture, AsyncWithoutCacheMatchesReference)
             modes.push_back(uring_mode);
         }
     }
-    storage::setAsyncBeamEnabled(true);
     // Shuffle only perturbs the emulated queues; the native uring
     // queue delivers in device order, itself nondeterministic.
     storage::setAsyncShuffleDelivery(true);
@@ -480,10 +711,10 @@ TEST_F(AsyncBeamFixture, AsyncWithoutCacheMatchesReference)
 }
 
 /**
- * TSan target: concurrent async searches over a shared cache — the
- * single-flight map sees live cross-thread attach/publish while the
- * speculative stash and per-query queues run. Every thread must get
- * the memory-reference answer.
+ * TSan target: concurrent pipelined searches over a shared cache —
+ * the single-flight map sees live cross-thread attach/publish while
+ * the per-query queues run. Every thread must get the
+ * memory-reference answer.
  */
 TEST_F(AsyncBeamFixture, ConcurrentAsyncSearchesShareFlights)
 {
@@ -504,7 +735,6 @@ TEST_F(AsyncBeamFixture, ConcurrentAsyncSearchesShareFlights)
     file_mode.node_cache.capacity_bytes =
         128 * storage::kIoSectorBytes;
     index_->setIoMode(file_mode);
-    storage::setAsyncBeamEnabled(true);
 
     constexpr std::size_t kThreads = 8;
     std::vector<std::thread> threads;
@@ -559,7 +789,6 @@ TEST_F(AsyncBeamFixture, PooledRingConcurrentSearches)
         expected.push_back(
             index_->search(data_->queryView().row(q), params));
 
-    storage::setAsyncBeamEnabled(true);
     storage::setIoPooledEnabled(true);
     storage::IoOptions uring_mode;
     uring_mode.kind = storage::IoBackendKind::Uring;
@@ -599,6 +828,115 @@ TEST_F(AsyncBeamFixture, PooledRingConcurrentSearches)
     index_->setIoMode(memory_mode);
 }
 
+/**
+ * Reopen read-write the one spilled node file under @p dir that this
+ * process still holds open (the sink unlinks its name right after
+ * opening it). @return the fd, or -1.
+ */
+int
+reopenSpilledNodeFile(const std::string &dir)
+{
+    int found = -1;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        std::error_code ec;
+        const std::string target =
+            std::filesystem::read_symlink(entry.path(), ec).string();
+        if (ec || target.rfind(dir + "/io-spill-", 0) != 0)
+            continue;
+        if (found >= 0) {
+            ::close(found);
+            return -1; // ambiguous
+        }
+        found = ::open(entry.path().c_str(), O_RDWR | O_CLOEXEC);
+    }
+    return found;
+}
+
+/**
+ * A node file that shrinks under a live index: every read past the
+ * new end comes back short and its pread completion hits EOF. Each
+ * search must fail with FatalError, promptly — on the file queue, on
+ * a per-query uring ring, and on the pooled ring where one query's
+ * failed read may be reaped by another query's thread. The file is
+ * restored afterwards, so the index can re-home its image.
+ */
+TEST_F(AsyncBeamFixture, FailedReadsThrowAndNeverHang)
+{
+    struct Mode
+    {
+        storage::IoBackendKind kind;
+        bool pooled;
+    };
+    std::vector<Mode> modes{{storage::IoBackendKind::File, false}};
+    if (storage::uringSupported()) {
+        modes.push_back({storage::IoBackendKind::Uring, false});
+        modes.push_back({storage::IoBackendKind::Uring, true});
+    }
+    DiskAnnSearchParams params;
+    params.search_list = 32;
+    params.beam_width = 4;
+    params.k = 10;
+
+    for (const Mode &mode : modes) {
+        ToggleGuard guard;
+        storage::setIoPooledEnabled(mode.pooled);
+        const testutil::TempDir dir("async_io_test_truncated");
+        storage::IoOptions options;
+        options.kind = mode.kind;
+        options.spill_dir = dir.path();
+        options.node_cache.capacity_bytes =
+            128 * storage::kIoSectorBytes;
+        index_->setIoMode(options);
+        const int fd = reopenSpilledNodeFile(dir.path());
+        ASSERT_GE(fd, 0) << "spilled node file not found";
+        std::vector<std::uint8_t> saved(
+            static_cast<std::size_t>(::lseek(fd, 0, SEEK_END)));
+        ASSERT_EQ(::pread(fd, saved.data(), saved.size(), 0),
+                  static_cast<ssize_t>(saved.size()));
+        ASSERT_EQ(::ftruncate(fd, 0), 0);
+
+        constexpr std::size_t kThreads = 4;
+        std::atomic<std::size_t> failures{0};
+        auto run = std::async(std::launch::async, [&] {
+            std::vector<std::thread> threads;
+            for (std::size_t t = 0; t < kThreads; ++t) {
+                threads.emplace_back([&, t] {
+                    for (std::size_t q = t; q < data_->num_queries;
+                         q += kThreads) {
+                        try {
+                            index_->search(data_->queryView().row(q),
+                                           params);
+                        } catch (const FatalError &) {
+                            failures.fetch_add(1);
+                        }
+                    }
+                });
+            }
+            for (auto &thread : threads)
+                thread.join();
+        });
+        if (run.wait_for(std::chrono::seconds(60)) !=
+            std::future_status::ready) {
+            ADD_FAILURE() << "searches on a truncated node file hung ("
+                          << storage::ioBackendKindName(mode.kind)
+                          << (mode.pooled ? ", pooled" : "") << ")";
+            std::fflush(stdout);
+            std::_Exit(1); // a hung search cannot be unwound
+        }
+        EXPECT_EQ(failures.load(), data_->num_queries)
+            << storage::ioBackendKindName(mode.kind)
+            << (mode.pooled ? ", pooled" : "");
+        ASSERT_EQ(::pwrite(fd, saved.data(), saved.size(), 0),
+                  static_cast<ssize_t>(saved.size()));
+        ::close(fd);
+    }
+
+    storage::IoOptions memory_mode;
+    memory_mode.kind = storage::IoBackendKind::Memory;
+    index_->setIoMode(memory_mode);
+}
+
 TEST(SpannAsyncTest, AsyncStoragePhaseIsBitIdentical)
 {
     ToggleGuard guard;
@@ -622,7 +960,6 @@ TEST(SpannAsyncTest, AsyncStoragePhaseIsBitIdentical)
     file_mode.node_cache.capacity_bytes =
         32 * storage::kIoSectorBytes;
     index.setIoMode(file_mode);
-    storage::setAsyncBeamEnabled(true);
     storage::setAsyncShuffleDelivery(true);
 
     for (std::size_t q = 0; q < data.num_queries; ++q) {
@@ -633,6 +970,69 @@ TEST(SpannAsyncTest, AsyncStoragePhaseIsBitIdentical)
             EXPECT_EQ(got[i].id, expected[q][i].id) << "query " << q;
             EXPECT_EQ(got[i].distance, expected[q][i].distance)
                 << "query " << q;
+        }
+    }
+}
+
+/**
+ * On a cold cache every probed list reaches the backend, so the
+ * recorded trace — one run per probed list, in probe order — must
+ * equal the memory backend's, even where the reader merged the runs
+ * of sector-adjacent lists into one read.
+ */
+TEST(SpannAsyncTest, ColdCacheTraceMatchesMemoryBackend)
+{
+    ToggleGuard guard;
+    const TestData data = makeClusteredData(1200, 20, 24, 556);
+    SpannIndex index;
+    SpannBuildParams build;
+    build.nlist = 16;
+    index.build(data.baseView(), build);
+
+    SpannSearchParams params;
+    params.k = 10;
+    params.nprobe = 6;
+    std::vector<std::vector<SearchStep>> expected;
+    std::size_t adjacent = 0;
+    for (std::size_t q = 0; q < data.num_queries; ++q) {
+        SearchTraceRecorder recorder;
+        index.search(data.queryView().row(q), params, &recorder);
+        expected.push_back(recorder.takeSteps());
+        std::vector<SectorRead> sorted;
+        for (const SearchStep &step : expected.back())
+            sorted.insert(sorted.end(), step.reads.begin(),
+                          step.reads.end());
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const SectorRead &a, const SectorRead &b) {
+                      return a.sector < b.sector;
+                  });
+        for (std::size_t i = 1; i < sorted.size(); ++i)
+            adjacent += sorted[i - 1].sector + sorted[i - 1].count ==
+                        sorted[i].sector;
+    }
+    ASSERT_GT(adjacent, 0u) << "no query probes sector-adjacent lists";
+
+    std::vector<storage::IoBackendKind> kinds{
+        storage::IoBackendKind::File};
+    if (storage::uringSupported())
+        kinds.push_back(storage::IoBackendKind::Uring);
+    for (const storage::IoBackendKind kind : kinds) {
+        for (std::size_t q = 0; q < data.num_queries; ++q) {
+            storage::IoOptions mode;
+            mode.kind = kind;
+            mode.spill_dir = testSpillDir();
+            mode.node_cache.capacity_bytes =
+                64 * storage::kIoSectorBytes;
+            index.setIoMode(mode); // a fresh, cold cache
+            SearchTraceRecorder recorder;
+            index.search(data.queryView().row(q), params, &recorder);
+            const auto steps = recorder.takeSteps();
+            ASSERT_EQ(steps.size(), expected[q].size())
+                << storage::ioBackendKindName(kind) << " query " << q;
+            for (std::size_t s = 0; s < steps.size(); ++s)
+                EXPECT_EQ(steps[s].reads, expected[q][s].reads)
+                    << storage::ioBackendKindName(kind) << " query " << q
+                    << " step " << s;
         }
     }
 }

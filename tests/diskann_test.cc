@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include "common/error.hh"
 #include "common/serialize.hh"
 #include "distance/recall.hh"
 #include "index/diskann_index.hh"
+#include "index/layout.hh"
 #include "index/vamana.hh"
+#include "storage/io_backend.hh"
 #include "test_util.hh"
 
 namespace ann {
@@ -349,6 +353,118 @@ TEST(DiskAnnSmallTest, TinyDatasetStillWorks)
                             index.search(data.queryView().row(q), search),
                             5);
     EXPECT_GT(recall / 5.0, 0.9);
+}
+
+
+// ------------------------------------------------- corrupt archives
+
+/** Archive bytes of @p index as written by save(). */
+std::vector<std::uint8_t>
+archiveBytes(const DiskAnnIndex &index, const std::string &path)
+{
+    {
+        BinaryWriter writer(path, "DAT", 1);
+        index.save(writer);
+        writer.close();
+    }
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                     {});
+}
+
+/**
+ * Load @p bytes as an archive. @return false on the typed error; a
+ * successful load must also search cleanly (the corruption hit bytes
+ * no invariant covers, e.g. a vector component that stays finite).
+ */
+bool
+loadsAndSearches(const std::vector<std::uint8_t> &bytes,
+                 const std::string &path, const float *query)
+{
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    DiskAnnIndex index;
+    // Pin the memory backend: the sweep is about parsing, not I/O.
+    index.setIoMode(storage::IoOptions{});
+    try {
+        BinaryReader reader(path, "DAT", 1);
+        index.load(reader);
+    } catch (const FatalError &) {
+        return false;
+    }
+    DiskAnnSearchParams params;
+    params.k = 5;
+    params.search_list = 16;
+    params.beam_width = 2;
+    index.search(query, params);
+    return true;
+}
+
+/**
+ * Truncations and single-bit flips of v3 (id order), v4 (packed) and
+ * v5 (embedded codes) archives either fail as FatalError or load an
+ * index that searches cleanly — never a crash, hang or out-of-bounds
+ * access (the sanitizer jobs run this sweep too).
+ */
+TEST(DiskAnnCorruptArchiveTest, TruncationsAndBitFlipsFailTyped)
+{
+    const TestData data = makeClusteredData(300, 2, 8, 4242);
+    const testutil::TempDir dir("diskann_corrupt_test");
+    const std::string path = dir.sub("archive.bin");
+    const std::string probe = dir.sub("probe.bin");
+
+    struct Variant
+    {
+        const char *name;
+        LayoutPolicy layout;
+        bool embed;
+    };
+    for (const Variant &variant :
+         {Variant{"v3", LayoutPolicy::IdOrder, false},
+          Variant{"v4", LayoutPolicy::PackedBfs, false},
+          Variant{"v5", LayoutPolicy::PackedBfs, true}}) {
+        SCOPED_TRACE(variant.name);
+        DiskAnnBuildParams params;
+        params.graph.max_degree = 8;
+        params.graph.build_list = 16;
+        params.pq.m = 4;
+        params.pq.ksub = 16;
+        params.layout = variant.layout;
+        params.embed_codes = variant.embed;
+        DiskAnnIndex index;
+        index.build(data.baseView(), params);
+        const std::vector<std::uint8_t> good = archiveBytes(index, path);
+        const float *query = data.queryView().row(0);
+        ASSERT_TRUE(loadsAndSearches(good, probe, query));
+
+        // Every truncation fails: the archive has no optional tail.
+        std::size_t truncations = 0;
+        for (std::size_t len = 0; len < good.size();
+             len += len < 256 ? 1 : 97) {
+            const std::vector<std::uint8_t> cut(good.begin(),
+                                                good.begin() + len);
+            EXPECT_FALSE(loadsAndSearches(cut, probe, query))
+                << "truncated to " << len << " of " << good.size();
+            ++truncations;
+        }
+
+        // Bit flips: every byte of the metadata prefix, then a
+        // stride through the codes and the node file.
+        std::size_t rejected = 0;
+        std::size_t flips = 0;
+        for (std::size_t at = 0; at < good.size();
+             at += at < 512 ? 1 : 29) {
+            std::vector<std::uint8_t> bad = good;
+            bad[at] ^= static_cast<std::uint8_t>(1u << (at % 8));
+            rejected += loadsAndSearches(bad, probe, query) ? 0 : 1;
+            ++flips;
+        }
+        EXPECT_GT(truncations, 256u);
+        EXPECT_GT(rejected, 0u) << "of " << flips << " flips";
+    }
 }
 
 } // namespace

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "distance/recall.hh"
 #include "engine/cost_model.hh"
@@ -14,6 +13,7 @@
 #include "engine/milvus_like.hh"
 #include "engine/qdrant_like.hh"
 #include "engine/weaviate_like.hh"
+#include "test_util.hh"
 #include "workload/generator.hh"
 
 namespace ann {
@@ -32,8 +32,7 @@ class EngineFixture : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        cacheDir_ = new std::string("./engine_test_cache");
-        std::filesystem::create_directories(*cacheDir_);
+        cacheDir_ = new testutil::TempDir("engine_test_cache");
         GeneratorSpec spec;
         spec.name = "engine-test";
         spec.rows = 13000; // > 2 Milvus segments at scale 1
@@ -47,7 +46,6 @@ class EngineFixture : public ::testing::Test
     static void
     TearDownTestSuite()
     {
-        std::filesystem::remove_all(*cacheDir_);
         delete data_;
         delete cacheDir_;
         data_ = nullptr;
@@ -68,16 +66,16 @@ class EngineFixture : public ::testing::Test
     }
 
     static Dataset *data_;
-    static std::string *cacheDir_;
+    static testutil::TempDir *cacheDir_;
 };
 
 Dataset *EngineFixture::data_ = nullptr;
-std::string *EngineFixture::cacheDir_ = nullptr;
+testutil::TempDir *EngineFixture::cacheDir_ = nullptr;
 
 TEST_F(EngineFixture, MilvusSegmentsDataset)
 {
     MilvusLikeEngine eng(MilvusIndexKind::Ivf);
-    eng.prepare(*data_, *cacheDir_);
+    eng.prepare(*data_, cacheDir_->path());
     // 13000 rows / 6000-row segments -> 3 segments.
     EXPECT_EQ(eng.numSegments(), 3u);
 }
@@ -85,7 +83,7 @@ TEST_F(EngineFixture, MilvusSegmentsDataset)
 TEST_F(EngineFixture, MilvusIvfSearchesAcrossSegments)
 {
     MilvusLikeEngine eng(MilvusIndexKind::Ivf);
-    eng.prepare(*data_, *cacheDir_);
+    eng.prepare(*data_, cacheDir_->path());
     SearchSettings settings;
     settings.nprobe = 20;
     const auto out = eng.search(data_->query(0), settings);
@@ -100,7 +98,7 @@ TEST_F(EngineFixture, MilvusIvfSearchesAcrossSegments)
 TEST_F(EngineFixture, MilvusHnswTraceIsMemoryOnly)
 {
     MilvusLikeEngine eng(MilvusIndexKind::Hnsw);
-    eng.prepare(*data_, *cacheDir_);
+    eng.prepare(*data_, cacheDir_->path());
     SearchSettings settings;
     settings.ef_search = 50;
     const auto out = eng.search(data_->query(1), settings);
@@ -112,7 +110,7 @@ TEST_F(EngineFixture, MilvusHnswTraceIsMemoryOnly)
 TEST_F(EngineFixture, MilvusDiskAnnIssues4KiBReads)
 {
     MilvusLikeEngine eng(MilvusIndexKind::DiskAnn);
-    eng.prepare(*data_, *cacheDir_);
+    eng.prepare(*data_, cacheDir_->path());
     SearchSettings settings;
     settings.search_list = 20;
     settings.beam_width = 4;
@@ -129,7 +127,7 @@ TEST_F(EngineFixture, MilvusDiskAnnIssues4KiBReads)
 TEST_F(EngineFixture, MilvusDiskAnnSegmentsUseDisjointSectors)
 {
     MilvusLikeEngine eng(MilvusIndexKind::DiskAnn);
-    eng.prepare(*data_, *cacheDir_);
+    eng.prepare(*data_, cacheDir_->path());
     SearchSettings settings;
     settings.search_list = 20;
     const auto out = eng.search(data_->query(3), settings);
@@ -156,7 +154,7 @@ TEST_F(EngineFixture, MilvusDiskAnnSegmentsUseDisjointSectors)
 TEST_F(EngineFixture, MilvusDiskAnnMemoryIsCompressed)
 {
     MilvusLikeEngine eng(MilvusIndexKind::DiskAnn);
-    eng.prepare(*data_, *cacheDir_);
+    eng.prepare(*data_, cacheDir_->path());
     // PQ in memory must be far smaller than the raw vectors.
     EXPECT_LT(eng.memoryBytes(), data_->baseBytes() / 2);
     EXPECT_GT(eng.diskSectors(), 0u);
@@ -167,7 +165,7 @@ TEST_F(EngineFixture, MilvusIoGrowsWithSegments)
     // More data (more segments) -> proportionally more I/O per query
     // (the paper's O-14 mechanism).
     MilvusLikeEngine eng(MilvusIndexKind::DiskAnn);
-    eng.prepare(*data_, *cacheDir_);
+    eng.prepare(*data_, cacheDir_->path());
     SearchSettings settings;
     settings.search_list = 10;
 
@@ -181,7 +179,7 @@ TEST_F(EngineFixture, MilvusIoGrowsWithSegments)
     spec.seed = 8;
     Dataset small = generateDataset(spec);
     MilvusLikeEngine small_eng(MilvusIndexKind::DiskAnn);
-    small_eng.prepare(small, *cacheDir_);
+    small_eng.prepare(small, cacheDir_->path());
 
     const auto big_out = eng.search(data_->query(0), settings);
     const auto small_out = small_eng.search(small.query(0), settings);
@@ -193,8 +191,8 @@ TEST_F(EngineFixture, QdrantAndWeaviateShareTheSameGraph)
 {
     engine::QdrantLikeEngine qdrant;
     engine::WeaviateLikeEngine weaviate;
-    qdrant.prepare(*data_, *cacheDir_);
-    weaviate.prepare(*data_, *cacheDir_); // loads the cached build
+    qdrant.prepare(*data_, cacheDir_->path());
+    weaviate.prepare(*data_, cacheDir_->path()); // loads the cached build
     SearchSettings settings;
     settings.ef_search = 40;
     for (std::size_t q = 0; q < 10; ++q) {
@@ -222,14 +220,14 @@ TEST_F(EngineFixture, WeaviateHasHighestFixedOverhead)
 TEST_F(EngineFixture, LanceHnswSqUsesQuantizationAndHasOomLimit)
 {
     engine::LanceHnswSqEngine lance;
-    lance.prepare(*data_, *cacheDir_);
+    lance.prepare(*data_, cacheDir_->path());
     EXPECT_EQ(lance.profile().max_client_threads, 128u);
     EXPECT_FALSE(lance.profile().storage_based);
     // SQ stores one byte per dimension instead of a 4-byte float, so
     // the SQ engine is smaller than the plain-HNSW engines (the graph
     // links are identical).
     engine::QdrantLikeEngine plain;
-    plain.prepare(*data_, *cacheDir_);
+    plain.prepare(*data_, cacheDir_->path());
     EXPECT_LT(lance.memoryBytes(),
               plain.memoryBytes() -
                   data_->baseBytes() * 3 / 4 + 4096);
@@ -242,7 +240,7 @@ TEST_F(EngineFixture, LanceHnswSqUsesQuantizationAndHasOomLimit)
 TEST_F(EngineFixture, LanceIvfPqReadsProbedLists)
 {
     engine::LanceIvfPqEngine lance;
-    lance.prepare(*data_, *cacheDir_);
+    lance.prepare(*data_, cacheDir_->path());
     EXPECT_TRUE(lance.profile().storage_based);
     EXPECT_FALSE(lance.profile().direct_io); // buffered (page cache)
 
@@ -261,9 +259,9 @@ TEST_F(EngineFixture, LanceIvfPqReadsProbedLists)
 TEST_F(EngineFixture, PreparedEnginesReloadFromCache)
 {
     MilvusLikeEngine first(MilvusIndexKind::Ivf);
-    first.prepare(*data_, *cacheDir_);
+    first.prepare(*data_, cacheDir_->path());
     MilvusLikeEngine second(MilvusIndexKind::Ivf);
-    second.prepare(*data_, *cacheDir_); // must hit the cache
+    second.prepare(*data_, cacheDir_->path()); // must hit the cache
     SearchSettings settings;
     settings.nprobe = 10;
     for (std::size_t q = 0; q < 5; ++q)

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "common/error.hh"
 #include "common/serialize.hh"
@@ -173,7 +172,7 @@ class ReadWriteFixture : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        std::filesystem::create_directories("./ext_test_cache");
+        cacheDir_ = new testutil::TempDir("ext_test_cache");
         workload::GeneratorSpec spec;
         spec.name = "ext-test";
         spec.rows = 4000;
@@ -185,24 +184,39 @@ class ReadWriteFixture : public ::testing::Test
         data_ = new workload::Dataset(generateDataset(spec));
         engine_ = new engine::MilvusLikeEngine(
             engine::MilvusIndexKind::DiskAnn);
-        engine_->prepare(*data_, "./ext_test_cache");
+        engine_->prepare(*data_, cacheDir_->path());
+        ready_ = true;
     }
     static void
     TearDownTestSuite()
     {
         delete engine_;
         delete data_;
+        delete cacheDir_;
         engine_ = nullptr;
         data_ = nullptr;
-        std::filesystem::remove_all("./ext_test_cache");
+        cacheDir_ = nullptr;
+        ready_ = false;
+    }
+
+    /** Fail, rather than crash on null state, when the suite setup
+     *  threw before it finished. */
+    void
+    SetUp() override
+    {
+        ASSERT_TRUE(ready_) << "read/write suite setup did not finish";
     }
 
     static workload::Dataset *data_;
     static engine::MilvusLikeEngine *engine_;
+    static testutil::TempDir *cacheDir_;
+    static bool ready_;
 };
 
 workload::Dataset *ReadWriteFixture::data_ = nullptr;
 engine::MilvusLikeEngine *ReadWriteFixture::engine_ = nullptr;
+testutil::TempDir *ReadWriteFixture::cacheDir_ = nullptr;
+bool ReadWriteFixture::ready_ = false;
 
 TEST_F(ReadWriteFixture, IngestTraceHasWritesAndCpu)
 {
@@ -229,7 +243,7 @@ TEST_F(ReadWriteFixture, IngestTracesAdvanceTheLog)
 TEST_F(ReadWriteFixture, IngestRejectedOnNonDiskAnnKinds)
 {
     engine::MilvusLikeEngine hnsw(engine::MilvusIndexKind::Hnsw);
-    hnsw.prepare(*data_, "./ext_test_cache");
+    hnsw.prepare(*data_, cacheDir_->path());
     EXPECT_THROW(hnsw.buildIngestTrace(10), FatalError);
 }
 
@@ -266,7 +280,7 @@ TEST_F(ReadWriteFixture, MixedReplayShowsReadWriteInterference)
 
 TEST(MmapModeTest, ResidentCacheMatchesMemoryResults)
 {
-    std::filesystem::create_directories("./ext_mmap_cache");
+    const testutil::TempDir cache_dir("ext_mmap_cache");
     workload::GeneratorSpec spec;
     spec.name = "mmap-test";
     spec.rows = 3000;
@@ -279,8 +293,8 @@ TEST(MmapModeTest, ResidentCacheMatchesMemoryResults)
 
     engine::QdrantLikeEngine memory_mode(false);
     engine::QdrantLikeEngine mmap_mode(true, 1 << 16);
-    memory_mode.prepare(data, "./ext_mmap_cache");
-    mmap_mode.prepare(data, "./ext_mmap_cache");
+    memory_mode.prepare(data, cache_dir.path());
+    mmap_mode.prepare(data, cache_dir.path());
 
     engine::SearchSettings settings;
     settings.ef_search = 40;
@@ -295,7 +309,6 @@ TEST(MmapModeTest, ResidentCacheMatchesMemoryResults)
     EXPECT_TRUE(mmap_mode.profile().storage_based);
     EXPECT_FALSE(mmap_mode.profile().direct_io);
     EXPECT_GT(mmap_mode.diskSectors(), 0u);
-    std::filesystem::remove_all("./ext_mmap_cache");
 }
 
 TEST(MmapModeTest, DependentFaultsAreSequentialSteps)
@@ -309,9 +322,9 @@ TEST(MmapModeTest, DependentFaultsAreSequentialSteps)
     spec.gt_k = 10;
     spec.seed = 5;
     const auto data = generateDataset(spec);
-    std::filesystem::create_directories("./ext_mmap_cache2");
+    const testutil::TempDir cache_dir("ext_mmap_cache2");
     engine::QdrantLikeEngine mmap_mode(true);
-    mmap_mode.prepare(data, "./ext_mmap_cache2");
+    mmap_mode.prepare(data, cache_dir.path());
 
     engine::SearchSettings settings;
     settings.ef_search = 30;
@@ -324,7 +337,6 @@ TEST(MmapModeTest, DependentFaultsAreSequentialSteps)
         if (!step.reads.empty())
             EXPECT_EQ(step.reads[0].count, 1u);
     }
-    std::filesystem::remove_all("./ext_mmap_cache2");
 }
 
 } // namespace

@@ -26,10 +26,12 @@
 #include "learn/policy.hh"
 #include "serve/client.hh"
 #include "serve/engine_gate.hh"
+#include "serve/load_gen.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "storage/io_backend.hh"
 #include "test_util.hh"
+#include "workload/dataset.hh"
 #include "workload/generator.hh"
 
 namespace ann {
@@ -929,6 +931,124 @@ TEST_F(ServeFixture, ServerSearchesDuringLiveMutations)
         t.join();
     EXPECT_FALSE(failed.load());
     EXPECT_EQ(server.metrics().protocol_errors, 0u);
+}
+
+
+// ------------------------------------------------ open-loop timing
+
+bool
+readFull(int fd, std::uint8_t *dst, std::size_t len)
+{
+    while (len > 0) {
+        const ssize_t got = ::recv(fd, dst, len, 0);
+        if (got <= 0)
+            return false;
+        dst += got;
+        len -= static_cast<std::size_t>(got);
+    }
+    return true;
+}
+
+bool
+writeFull(int fd, const std::uint8_t *src, std::size_t len)
+{
+    while (len > 0) {
+        const ssize_t put = ::send(fd, src, len, MSG_NOSIGNAL);
+        if (put <= 0)
+            return false;
+        src += put;
+        len -= static_cast<std::size_t>(put);
+    }
+    return true;
+}
+
+/**
+ * A server slower than the schedule: it stalls before reading
+ * anything, so the sender blocks on a full socket and falls behind.
+ * Open-loop latency is timed from each request's due time, so that
+ * backlog is reported instead of hidden (no coordinated omission).
+ */
+TEST(OpenLoopTest, LatencyIncludesSenderBacklog)
+{
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    socklen_t addr_len = sizeof(addr);
+    ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr *>(&addr),
+                            &addr_len),
+              0);
+
+    // Stand-in server: accept, stall, then answer every request
+    // until the client hangs up.
+    constexpr auto kStall = std::chrono::milliseconds(200);
+    std::atomic<std::uint64_t> answered{0};
+    std::thread server([&] {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        std::this_thread::sleep_for(kStall);
+        std::uint8_t header[serve::kHeaderBytes];
+        std::vector<std::uint8_t> payload;
+        std::vector<std::uint8_t> frame;
+        while (readFull(fd, header, sizeof(header))) {
+            serve::FrameHeader decoded;
+            if (serve::decodeHeader(header, sizeof(header), &decoded) !=
+                serve::DecodeResult::Ok)
+                break;
+            payload.resize(decoded.payload_bytes);
+            if (payload.size() < 8 ||
+                !readFull(fd, payload.data(), payload.size()))
+                break;
+            // The request id leads the payload, little-endian; the
+            // query itself is not needed to answer.
+            serve::SearchResponse response;
+            for (int b = 7; b >= 0; --b)
+                response.request_id =
+                    (response.request_id << 8) | payload[b];
+            frame.clear();
+            serve::encodeSearchResponse(response, &frame);
+            if (!writeFull(fd, frame.data(), frame.size()))
+                break;
+            answered.fetch_add(1);
+        }
+        ::close(fd);
+    });
+
+    // 32 KiB queries at 2000/s: the socket buffers hold well under
+    // half the schedule before the sender blocks.
+    workload::Dataset data;
+    data.name = "open-loop";
+    data.dim = 8192;
+    data.num_queries = 2;
+    data.queries.assign(data.num_queries * data.dim, 0.5f);
+
+    serve::LoadOptions options;
+    options.port = ntohs(addr.sin_port);
+    options.clients = 1;
+    options.target_qps = 2000;
+    options.duration_s = 0.3;
+    options.dataset = &data;
+    options.validate = false;
+    const serve::LoadReport report = serve::runOpenLoop(options);
+    server.join();
+    ::close(listener);
+
+    EXPECT_EQ(report.unanswered, 0u);
+    EXPECT_EQ(report.completed, report.sent);
+    EXPECT_EQ(answered.load(), report.sent);
+    // Due at t in [0, 0.3 s), answered at about max(t, 0.2 s): from
+    // due time the median request waited 0.2 - 0.15 = 50 ms. Timed
+    // from the actual (blocked) send, only the requests the socket
+    // buffers held when the stall began would show any wait, and
+    // they are a minority.
+    EXPECT_GE(report.p50_us, 25'000.0);
 }
 
 } // namespace

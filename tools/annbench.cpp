@@ -90,8 +90,6 @@ printUsage()
         "                      or id-order)\n"
         "  --drop-caches       drop the sector cache and re-execute\n"
         "                      before every sweep point (cold runs)\n"
-        "  --async-beam        pipelined beam search: score nodes as\n"
-        "                      their reads land ($ANN_ASYNC_BEAM)\n"
         "  --io-pooled         merge per-query submissions into one\n"
         "                      shared uring ring ($ANN_IO_POOLED)\n"
         "  --duration-ms N     virtual run length (default 2000)\n"
@@ -168,8 +166,6 @@ runBench(const ann::ArgParser &args)
                         io.node_cache.warm_nodes);
     }
 
-    if (args.flag("async-beam"))
-        storage::setAsyncBeamEnabled(true);
     if (args.flag("io-pooled"))
         storage::setIoPooledEnabled(true);
 
@@ -352,7 +348,7 @@ main(int argc, char **argv)
                     "learn-dump", "learn-model"},
                    {"help", "verify-exec", "drop-caches",
                     "pin-threads", "learned-entry", "early-stop",
-                    "async-beam", "io-pooled"});
+                    "io-pooled"});
     try {
         args.parse(argc, argv);
     } catch (const FatalError &e) {

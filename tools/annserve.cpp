@@ -82,8 +82,6 @@ printUsage()
         "                      resident; overrides $ANN_MEM_BUDGET_MB)\n"
         "  --node-cache-mb N   sector-cache capacity per index (MiB;\n"
         "                      0 = off, default $ANN_NODE_CACHE_MB)\n"
-        "  --async-beam        pipelined beam search: score nodes as\n"
-        "                      their reads land ($ANN_ASYNC_BEAM)\n"
         "  --io-pooled         merge per-query submissions into one\n"
         "                      shared uring ring ($ANN_IO_POOLED)\n"
         "  --warm-nodes N      nodes BFS-warmed from the medoid "
@@ -140,8 +138,6 @@ runServe(const ann::ArgParser &args)
                 (1u << 20);
         storage::setDefaultIoOptions(io);
     }
-    if (args.flag("async-beam"))
-        storage::setAsyncBeamEnabled(true);
     if (args.flag("io-pooled"))
         storage::setIoPooledEnabled(true);
 
@@ -318,7 +314,7 @@ main(int argc, char **argv)
                     "mem-budget-mb",
                     "warm-nodes", "layout", "shard", "topology",
                     "replica", "debug-slow-every", "debug-slow-us"},
-                   {"help", "pin-threads", "async-beam", "io-pooled"});
+                   {"help", "pin-threads", "io-pooled"});
     try {
         args.parse(argc, argv);
     } catch (const FatalError &e) {
